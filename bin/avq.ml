@@ -707,11 +707,7 @@ let serve_cmd =
         let meta =
           Printf.sprintf "db=%s;scale=%d;seed=%d" (db_name db) scale seed
         in
-        let span =
-          Option.map
-            (fun tr -> Trace.start tr ~trace_id:(Trace.new_trace tr) "recovery")
-            tracer
-        in
+        let started = Unix.gettimeofday () in
         let result =
           match
             Recovery.recover ~data_dir:dir ~fsync_mode ~meta
@@ -728,17 +724,18 @@ let serve_cmd =
         in
         let _, _, _, r = result in
         Option.iter
-          (fun sp ->
-            Trace.set_attr sp "checkpoint_loaded"
-              (Trace.B r.Recovery.checkpoint_loaded);
-            Trace.set_attr sp "tables_restored" (Trace.I r.Recovery.tables_restored);
-            Trace.set_attr sp "matviews_restored"
-              (Trace.I r.Recovery.matviews_restored);
-            Trace.set_attr sp "replayed" (Trace.I r.Recovery.replayed);
-            Trace.set_attr sp "skipped" (Trace.I r.Recovery.skipped);
-            Trace.set_attr sp "torn_tail" (Trace.B r.Recovery.torn);
-            ignore (Trace.finish sp))
-          span;
+          (fun tr ->
+            ignore
+              (Trace.emit tr ~trace_id:(Trace.new_trace tr) ~t0:started
+                 ~dur_ms:((Unix.gettimeofday () -. started) *. 1000.)
+                 "recovery"
+                 [ ("checkpoint_loaded", Trace.B r.Recovery.checkpoint_loaded);
+                   ("tables_restored", Trace.I r.Recovery.tables_restored);
+                   ("matviews_restored", Trace.I r.Recovery.matviews_restored);
+                   ("replayed", Trace.I r.Recovery.replayed);
+                   ("skipped", Trace.I r.Recovery.skipped);
+                   ("torn_tail", Trace.B r.Recovery.torn) ]))
+          tracer;
         Format.printf
           "avq serve: recovered %s — %s, %d tables, %d matviews, %d WAL \
            records replayed (%d skipped%s) in %.1f ms@."

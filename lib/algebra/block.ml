@@ -54,11 +54,17 @@ let exported_agg_columns v =
       | Out_key _ -> None)
     v.v_out
 
-(* Build a left-deep join of [inputs] in order, attaching each conjunct of
-   [preds] at the lowest point where all its qualifiers are in scope.
-   Conjuncts referring to a single alias become filters on that input. *)
+(* Build a left-deep join of [inputs], attaching each conjunct of [preds]
+   at the lowest point where all its qualifiers are in scope.  Conjuncts
+   referring to a single alias become filters on that input.  The next
+   input joined is the first one (in FROM order) that a conjunct links to
+   the tree built so far, so FROM order decides only true cross products. *)
 let join_all inputs preds =
-  let aliases_of t = List.map fst (Logical.relations t) in
+  (* The qualifiers an input exports: a base scan's alias, or the alias a
+     view renames its output to (its inner scans are out of scope). *)
+  let aliases_of t =
+    List.map (fun c -> c.Schema.cqual) (Schema.columns (Logical.schema t))
+  in
   let covered t qs =
     let have = aliases_of t in
     List.for_all (fun q -> List.exists (String.equal q) have) qs
@@ -84,17 +90,32 @@ let join_all inputs preds =
   | [] -> invalid_arg "Block.join_all: no inputs"
   | first :: rest_inputs ->
     let first, preds = attach_local first preds in
-    let tree, preds =
-      List.fold_left
-        (fun (acc, preds) input ->
-          let input, preds = attach_local input preds in
-          let joined0 = Logical.Join { left = acc; right = input; cond = [] } in
-          let now, later =
-            List.partition (fun p -> covered joined0 (Expr.qualifiers p)) preds
-          in
-          (Logical.Join { left = acc; right = input; cond = now }, later))
-        (first, preds) rest_inputs
+    let links acc input p =
+      let qs = Expr.qualifiers p in
+      (not (covered acc qs)) && (not (covered input qs))
+      && covered (Logical.Join { left = acc; right = input; cond = [] }) qs
     in
+    let rec grow acc preds = function
+      | [] -> (acc, preds)
+      | pending ->
+        let next =
+          match
+            List.find_opt (fun i -> List.exists (links acc i) preds) pending
+          with
+          | Some i -> i
+          | None -> List.hd pending
+        in
+        let input, preds = attach_local next preds in
+        let joined0 = Logical.Join { left = acc; right = input; cond = [] } in
+        let now, later =
+          List.partition (fun p -> covered joined0 (Expr.qualifiers p)) preds
+        in
+        grow
+          (Logical.Join { left = acc; right = input; cond = now })
+          later
+          (List.filter (fun i -> i != next) pending)
+    in
+    let tree, preds = grow first preds rest_inputs in
     (match Expr.conjoin preds with
      | None -> tree
      | Some p -> Logical.Filter { input = tree; pred = p })

@@ -96,6 +96,68 @@ let eval_group input_rel ~agg_qual ~keys ~aggs ~having =
     let f = Expr.compile_pred out_schema p in
     Relation.filter f rel
 
+(* Equi-join keys: a conjunct [a = b] whose sides read only the left and
+   only the right input respectively.  Every other conjunct is a residual
+   checked per matching pair, so a join with no keys is the plain nested
+   loop over the cross product. *)
+let split_keys ls rs cond =
+  let reads schema e =
+    let cs = Expr.columns e in
+    cs <> [] && List.for_all (Schema.mem schema) cs
+  in
+  let only schema other e = reads schema e && not (reads other e) in
+  List.fold_right
+    (fun p (keys, residual) ->
+      match p with
+      | Expr.Cmp (Expr.Eq, a, b) when only ls rs a && only rs ls b ->
+        ((a, b) :: keys, residual)
+      | Expr.Cmp (Expr.Eq, a, b) when only rs ls a && only ls rs b ->
+        ((b, a) :: keys, residual)
+      | p -> (keys, p :: residual))
+    cond ([], [])
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = Value.t list
+
+  let equal a b = List.equal Value.equal a b
+  let hash k = Hashtbl.hash (List.map Value.hash k)
+end)
+
+(* Hash the right input on its key values, probe with each left row in
+   order: output order matches the nested loop's (left-major, right rows in
+   input order) without materializing the cross product. *)
+let eval_join lrel rrel cond =
+  let ls = Relation.schema lrel and rs = Relation.schema rrel in
+  let out_schema = Schema.append ls rs in
+  let keys, residual = split_keys ls rs cond in
+  let keep =
+    match Expr.conjoin residual with
+    | None -> fun _ -> true
+    | Some p -> Expr.compile_pred out_schema p
+  in
+  let key_of schema es =
+    let fs = List.map (Expr.compile schema) es in
+    fun tup -> List.map (fun f -> f tup) fs
+  in
+  let lkey = key_of ls (List.map fst keys)
+  and rkey = key_of rs (List.map snd keys) in
+  let tbl = Key_tbl.create (max 16 (Relation.cardinality rrel)) in
+  List.iter
+    (fun rt -> Key_tbl.add tbl (rkey rt) rt)
+    (List.rev (Relation.tuples rrel));
+  let rows =
+    Relation.fold
+      (fun acc lt ->
+        List.fold_left
+          (fun acc rt ->
+            let tup = Tuple.concat lt rt in
+            if keep tup then tup :: acc else acc)
+          acc
+          (Key_tbl.find_all tbl (lkey lt)))
+      [] lrel
+  in
+  Relation.create out_schema (List.rev rows)
+
 let rec eval cat = function
   | Scan s ->
     let tbl = Catalog.table_exn cat s.table in
@@ -104,25 +166,7 @@ let rec eval cat = function
   | Filter f ->
     let rel = eval cat f.input in
     Relation.filter (Expr.compile_pred (Relation.schema rel) f.pred) rel
-  | Join j ->
-    let lrel = eval cat j.left and rrel = eval cat j.right in
-    let out_schema = Schema.append (Relation.schema lrel) (Relation.schema rrel) in
-    let keep =
-      match Expr.conjoin j.cond with
-      | None -> fun _ -> true
-      | Some p -> Expr.compile_pred out_schema p
-    in
-    let rows =
-      Relation.fold
-        (fun acc lt ->
-          Relation.fold
-            (fun acc rt ->
-              let tup = Tuple.concat lt rt in
-              if keep tup then tup :: acc else acc)
-            acc rrel)
-        [] lrel
-    in
-    Relation.create out_schema (List.rev rows)
+  | Join j -> eval_join (eval cat j.left) (eval cat j.right) j.cond
   | Group g ->
     eval_group (eval cat g.input) ~agg_qual:g.agg_qual ~keys:g.keys ~aggs:g.aggs
       ~having:g.having

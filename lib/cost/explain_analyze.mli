@@ -34,7 +34,9 @@ type node = {
 type t = {
   root : node;
   wall_ms : float;  (** whole-statement execution wall time *)
-  io : Buffer_pool.stats;  (** statement IO delta (zero if the run failed) *)
+  io : Buffer_pool.stats;
+      (** statement IO delta; on a failed run, the IO done before failing
+          as the caller measured it ({!analyze} reports zero) *)
   error : string option;  (** set when the run failed: stats are partial *)
 }
 

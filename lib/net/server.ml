@@ -103,14 +103,10 @@ let tag_reply ?(source = "tag") ~ms body =
   Protocol.Result { source; rows = 0; ms; body }
 
 let error_reply e =
-  match Avq_error.of_exn e with
+  match Service.typed_error e with
   | Some t ->
     Protocol.Err { kind = Avq_error.kind_label t; detail = Avq_error.to_string t }
-  | None -> (
-    match Replay.describe_error e with
-    | detail -> Protocol.Err { kind = "bad-statement"; detail }
-    | exception _ ->
-      Protocol.Err { kind = "internal"; detail = Printexc.to_string e })
+  | None -> Protocol.Err { kind = "internal"; detail = Printexc.to_string e }
 
 exception Disconnected
 
@@ -228,7 +224,7 @@ let exec_query t sess sql =
     tag_reply ~source:"text" ~ms:0. (Service.render_matviews t.svc)
   | Replay.Explain_analyze inner ->
     run_admitted t (fun () ->
-        match Replay.run_explain_analyze t.svc inner with
+        match Replay.run_explain_analyze ~limits:sess.limits t.svc inner with
         | rendered -> fun ms -> tag_reply ~source:"text" ~ms rendered
         | exception Replay.Analysis_failed (e, partial) ->
           fun _ms ->

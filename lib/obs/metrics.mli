@@ -77,6 +77,9 @@ val histogram :
   string ->
   Histogram.t
 
+val escape_json : string -> string
+(** Escape a string for use inside a JSON string literal. *)
+
 val json_float : float -> string
 (** Number rendering used by both exports: integral values print without a
     fraction, everything else prints the shortest decimal form that parses

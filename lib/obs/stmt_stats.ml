@@ -35,6 +35,10 @@ type entry = {
   mutable e_mv_hits : int;
   mutable e_wal_bytes : int;
   mutable e_max_dop : int;
+  mutable e_placement : string;  (* group-by placement, last seen *)
+  mutable e_q_sum : float;  (* root-row q-errors of successful runs *)
+  mutable e_q_n : int;
+  mutable e_q_max : float;
   mutable e_last_used : int;
 }
 
@@ -100,6 +104,10 @@ let fresh_entry fp query tick =
     e_mv_hits = 0;
     e_wal_bytes = 0;
     e_max_dop = 0;
+    e_placement = "";
+    e_q_sum = 0.;
+    e_q_n = 0;
+    e_q_max = 0.;
     e_last_used = tick;
   }
 
@@ -124,7 +132,7 @@ let bucket_slot ms =
 
 let record t ~fp ~query ?error ?(rows = 0) ?(pages = 0) ?(spill_bytes = 0)
     ?(cache_hit = false) ?(rebind = false) ?(mv_hit = false) ?(wal_bytes = 0)
-    ?(dop = 1) ~ms () =
+    ?(dop = 1) ?placement ?q_error ~ms () =
   Atomic.incr t.recorded;
   let tick = Atomic.fetch_and_add t.clock 1 in
   let sh = shard_of t fp in
@@ -158,7 +166,14 @@ let record t ~fp ~query ?error ?(rows = 0) ?(pages = 0) ?(spill_bytes = 0)
       if rebind then e.e_rebinds <- e.e_rebinds + 1;
       if mv_hit then e.e_mv_hits <- e.e_mv_hits + 1;
       e.e_wal_bytes <- e.e_wal_bytes + wal_bytes;
-      if dop > e.e_max_dop then e.e_max_dop <- dop)
+      if dop > e.e_max_dop then e.e_max_dop <- dop;
+      Option.iter (fun p -> e.e_placement <- p) placement;
+      Option.iter
+        (fun q ->
+          e.e_q_sum <- e.e_q_sum +. q;
+          e.e_q_n <- e.e_q_n + 1;
+          if q > e.e_q_max then e.e_q_max <- q)
+        q_error)
 
 (* ---- snapshots ---- *)
 
@@ -183,6 +198,9 @@ type stat = {
   mv_hits : int;
   wal_bytes : int;
   max_dop : int;
+  group_placement : string;
+  q_error_mean : float;
+  q_error_max : float;
 }
 
 (* Smallest bucket upper bound whose cumulative count reaches rank;
@@ -227,6 +245,10 @@ let stat_of_entry e =
     mv_hits = e.e_mv_hits;
     wal_bytes = e.e_wal_bytes;
     max_dop = e.e_max_dop;
+    group_placement = e.e_placement;
+    q_error_mean =
+      (if e.e_q_n = 0 then 0. else e.e_q_sum /. float_of_int e.e_q_n);
+    q_error_max = e.e_q_max;
   }
 
 (* Consistent-per-entry snapshot: each shard is locked while its entries are
@@ -270,20 +292,6 @@ let total_calls t =
 
 (* ---- JSON (the /statements endpoint body) ---- *)
 
-let escape_json s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json_top ?(n = 10) t =
   let buf = Buffer.create 1024 in
   let fnum = Metrics.json_float in
@@ -298,12 +306,17 @@ let to_json_top ?(n = 10) t =
             %s, \"max_ms\": %s, \"p50_ms\": %s, \"p95_ms\": %s, \"p99_ms\": \
             %s, \"rows\": %d, \"pages\": %d, \"spill_bytes\": %d, \
             \"cache_hits\": %d, \"rebinds\": %d, \"mv_hits\": %d, \
-            \"wal_bytes\": %d, \"max_dop\": %d }"
-           (escape_json s.fingerprint) (escape_json s.query) s.calls s.errors
+            \"wal_bytes\": %d, \"max_dop\": %d, \"group_placement\": \"%s\", \
+            \"q_error_mean\": %s, \"q_error_max\": %s }"
+           (Metrics.escape_json s.fingerprint)
+           (Metrics.escape_json s.query) s.calls s.errors
            (fnum s.total_ms) (fnum s.mean_ms) (fnum s.min_ms) (fnum s.max_ms)
            (fnum s.p50_ms) (fnum s.p95_ms) (fnum s.p99_ms) s.rows s.pages
            s.spill_bytes s.cache_hits s.rebinds s.mv_hits s.wal_bytes
-           s.max_dop))
+           s.max_dop
+           (Metrics.escape_json s.group_placement)
+           (fnum s.q_error_mean)
+           (fnum s.q_error_max)))
     (top ~n t);
   Buffer.add_string buf
     (Printf.sprintf "\n  ],\n  \"tracked\": %d,\n  \"evictions\": %d\n}\n"

@@ -27,12 +27,16 @@ val record :
   ?mv_hit:bool ->
   ?wal_bytes:int ->
   ?dop:int ->
+  ?placement:string ->
+  ?q_error:float ->
   ms:float ->
   unit ->
   unit
 (** Record one completed (or failed: [?error] is the error class) statement
     execution under fingerprint [fp].  [query] is the canonical template,
-    stored truncated on first touch. *)
+    stored truncated on first touch.  [placement] is the plan's group-by
+    placement (kept as last seen); [q_error] is the root-row estimate's
+    q-error of a successful run (averaged and maxed per fingerprint). *)
 
 type stat = {
   fingerprint : string;
@@ -55,6 +59,9 @@ type stat = {
   mv_hits : int;
   wal_bytes : int;
   max_dop : int;
+  group_placement : string;  (** last seen; [""] before any plan *)
+  q_error_mean : float;  (** 0 until a successful planned run *)
+  q_error_max : float;
 }
 
 val snapshot : t -> stat list

@@ -7,14 +7,13 @@
      "ts":1754500000.123456,"dur_ms":4.218,"attrs":{"rows":42}}
     v}
 
-    Live spans ({!start}/{!finish}) measure wall time themselves; {!emit}
-    writes a span with externally measured timing, which is how per-operator
-    spans are synthesized from the executor's profile tree after the run —
-    the executor's hot loop never touches the tracer. *)
+    Every span is written by {!emit} with externally measured timing: a
+    statement's spans are rendered from its record once it has finished,
+    and per-operator spans from the executor's profile tree — the
+    executor's hot loop never touches the tracer. *)
 
 type attr = S of string | I of int | F of float | B of bool
 
-type span
 type tracer
 
 val create :
@@ -33,18 +32,6 @@ val close : tracer -> unit
 val new_trace : tracer -> int
 (** Allocate a fresh trace id (one per statement). *)
 
-val start : tracer -> trace_id:int -> ?parent:int -> string -> span
-(** Start a live span; wall clock runs until {!finish}. *)
-
-val id : span -> int
-(** Span id, for parenting children. *)
-
-val set_attr : span -> string -> attr -> unit
-
-val finish : ?status:string -> span -> float
-(** Close the span, write its JSONL line, return its duration in ms.
-    [status] defaults to ["ok"]; error paths pass ["error"]. *)
-
 val emit :
   tracer ->
   trace_id:int ->
@@ -56,7 +43,8 @@ val emit :
   (string * attr) list ->
   int
 (** Write a span with externally measured [t0] (Unix seconds) and [dur_ms];
-    returns the new span id. *)
+    returns the new span id, for parenting children.  [status] defaults to
+    ["ok"]; error paths pass ["error"]. *)
 
 val note_slow :
   tracer ->

@@ -36,13 +36,10 @@ type outcome =
 
 type line = { index : int; sql : string; outcome : outcome }
 
-let describe_error = function
-  | Avq_error.Error e -> Avq_error.to_string e
-  | Binder.Bind_error msg -> "bind error: " ^ msg
-  | Parser.Parse_error (msg, off) ->
-    Printf.sprintf "parse error at %d: %s" off msg
-  | Lexer.Lex_error (msg, off) -> Printf.sprintf "lex error at %d: %s" off msg
-  | e -> raise e
+let describe_error e =
+  match Service.typed_error e with
+  | Some te -> Avq_error.to_string te
+  | None -> raise e
 
 (* Session directives and statement modifiers, classified before execution.
    [\metrics] dumps the registry; an [EXPLAIN ANALYZE] prefix runs the rest
@@ -129,13 +126,20 @@ let run_stats svc = function
    showing next to the error. *)
 exception Analysis_failed of exn * string
 
-let run_explain_analyze svc sql =
+let run_explain_analyze ?limits svc sql =
   let stmt = Service.prepare svc sql in
-  let p, res, report = Service.explain_analyze svc stmt in
+  let p, res, report = Service.explain_analyze ?limits svc stmt in
   let body = Format.asprintf "%a" (Service.pp_analysis svc) (p, report) in
   match res with
   | Ok _ -> body
   | Error e -> raise_notrace (Analysis_failed (e, body))
+
+let explain_outcome svc sql =
+  match run_explain_analyze svc sql with
+  | body -> Rendered body
+  | exception Analysis_failed (e, body) ->
+    Failed (describe_error e ^ "\n" ^ body)
+  | exception e -> Failed (describe_error e)
 
 let run_update svc sql =
   match Service.exec_statement svc sql with
@@ -149,12 +153,7 @@ let run_one svc sql =
   | Directive_stats kind -> Rendered (run_stats svc kind)
   | Directive_matviews -> Rendered (Service.render_matviews svc)
   | Directive_checkpoint -> Rendered (Service.checkpoint svc)
-  | Explain_analyze rest -> (
-    match run_explain_analyze svc rest with
-    | body -> Rendered body
-    | exception Analysis_failed (e, body) ->
-      Failed (describe_error e ^ "\n" ^ body)
-    | exception e -> Failed (describe_error e))
+  | Explain_analyze rest -> explain_outcome svc rest
   | Update sql -> run_update svc sql
   | Plain sql -> (
     match Service.submit svc sql with
@@ -196,12 +195,7 @@ let replay_pool pool text =
     | `Sync (Directive_metrics kind) -> Rendered (run_metrics svc kind)
     | `Sync (Directive_stats kind) -> Rendered (run_stats svc kind)
     | `Sync Directive_matviews -> Rendered (Service.render_matviews svc)
-    | `Sync (Explain_analyze rest) -> (
-      match run_explain_analyze svc rest with
-      | body -> Rendered body
-      | exception Analysis_failed (e, body) ->
-        Failed (describe_error e ^ "\n" ^ body)
-      | exception e -> Failed (describe_error e))
+    | `Sync (Explain_analyze rest) -> explain_outcome svc rest
     | `Sync (Plain _ | Update _ | Directive_checkpoint) -> assert false
   in
   let flush () =

@@ -40,8 +40,8 @@ type classified =
 val classify : string -> classified
 
 val describe_error : exn -> string
-(** One-line rendering of a typed / binder / parser / lexer failure.
-    Re-raises anything it cannot soundly describe. *)
+(** One-line rendering of a failure {!Service.typed_error} knows.
+    Re-raises anything else (an untyped engine bug). *)
 
 val run_metrics : Service.t -> [ `Json | `Prometheus ] -> string
 
@@ -52,8 +52,10 @@ val run_stats : Service.t -> [ `Show | `Reset ] -> string
 exception Analysis_failed of exn * string
 (** A failed [EXPLAIN ANALYZE] still carries its partial annotated tree. *)
 
-val run_explain_analyze : Service.t -> string -> string
-(** @raise Analysis_failed with the (partial) rendered tree on failure. *)
+val run_explain_analyze :
+  ?limits:Service.session_limits -> Service.t -> string -> string
+(** Run under the session's [limits] (default: the service config).
+    @raise Analysis_failed with the (partial) rendered tree on failure. *)
 
 type outcome =
   | Executed of Service.planned * int

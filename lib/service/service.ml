@@ -47,7 +47,7 @@ type t = {
   opt_ms_total : Sync.Fsum.t;
   opt_ms_saved : Sync.Fsum.t;
   (* Typed-error tally, one counter per {!Avq_error} kind (see [err_slot]).
-     Bumped by [execute_on] when a statement fails with a typed error; a
+     Bumped by [finish] when a statement fails with a typed error; a
      failed statement still counts one [calls], so
      hits + rebinds + misses + recost_fallbacks + rebind_conflicts +
      uncached = calls holds with or without failures (errors strike during
@@ -57,13 +57,11 @@ type t = {
      service touches (buffer pool, plan cache, errors, statements, pool);
      the tracer, when set, receives one span tree per executed statement. *)
   metrics : Metrics.t;
-  (* Per-fingerprint cumulative statement statistics (always on): every
-     statement path — execute_on, exec_statement, explain_analyze — records
-     exactly one observation per [statements] increment, so the sum of
-     [Stats] calls tracks [avq_statements_total] while nothing is evicted. *)
+  (* Per-fingerprint cumulative statement statistics (always on): [finish]
+     records exactly one observation per statement, and
+     [avq_statements_total] is the store's observation count. *)
   stats : Stmt_stats.t;
   mutable tracer : Trace.tracer option;
-  statements : Metrics.Counter.t;
   stmt_ms : Metrics.Histogram.t;
   stmt_io : Metrics.Histogram.t;
   (* Durability: when a WAL is attached every mutating statement appends its
@@ -200,6 +198,9 @@ let register_metrics t =
       match t.tracer with
       | Some tr -> float_of_int (Trace.spans_emitted tr)
       | None -> 0.);
+  Metrics.fn_counter m "avq_statements_total"
+    ~help:"Statements executed (successful or not)"
+    (fi (fun () -> Stmt_stats.recorded t.stats));
   Stmt_stats.register_metrics t.stats m
 
 let create ?(config = default_config) ?mviews cat =
@@ -228,9 +229,6 @@ let create ?(config = default_config) ?mviews cat =
       metrics;
       stats = Stmt_stats.create ();
       tracer = None;
-      statements =
-        Metrics.counter metrics "avq_statements_total"
-          ~help:"Statements executed (successful or not)";
       stmt_ms =
         Metrics.histogram metrics "avq_statement_ms"
           ~help:"Successful statement latency, planning + execution (ms)"
@@ -637,214 +635,6 @@ let plan_span_attrs t p =
     | Some v -> [ ("matview", Trace.S v) ]
     | None -> [])
 
-let observe_success t ~ms ~io =
-  Metrics.Histogram.observe t.stmt_ms ms;
-  Metrics.Histogram.observe t.stmt_io
-    (float_of_int (io.Buffer_pool.reads + io.Buffer_pool.writes))
-
-let execute_traced tr ctx ?params ?(limits = no_limits) t stmt =
-  let trace_id = Trace.new_trace tr in
-  let root = Trace.start tr ~trace_id "statement" in
-  Trace.set_attr root "fingerprint" (Trace.S (Fingerprint.to_hex stmt.fp));
-  let now = Unix.gettimeofday () in
-  (* Prepare-time work, re-emitted per execution so every trace is
-     self-contained; anchored at the statement start, not when the (possibly
-     long-lived) statement was actually prepared. *)
-  ignore
-    (Trace.emit tr ~trace_id ~parent:(Trace.id root) ~t0:now
-       ~dur_ms:stmt.parse_ms "parse" []);
-  ignore
-    (Trace.emit tr ~trace_id ~parent:(Trace.id root) ~t0:now
-       ~dur_ms:stmt.canon_ms "canonicalize" []);
-  match
-    let p = plan ?params ~limits t stmt in
-    ignore
-      (Trace.emit tr ~trace_id ~parent:(Trace.id root)
-         ~t0:(Unix.gettimeofday () -. (p.plan_ms /. 1000.))
-         ~dur_ms:p.plan_ms "plan" (plan_span_attrs t p));
-    (match p.rewrite with
-     | Matview.No_views -> ()
-     | d ->
-       ignore
-         (Trace.emit tr ~trace_id ~parent:(Trace.id root)
-            ~t0:(Unix.gettimeofday ()) ~dur_ms:0. "view_rewrite"
-            (("decision", Trace.S (Matview.decision_to_string d))
-            :: (match Matview.rewritten_view d with
-               | Some v -> [ ("view", Trace.S v) ]
-               | None -> []))));
-    let exec_t0 = Unix.gettimeofday () in
-    let espan = Trace.start tr ~trace_id ~parent:(Trace.id root) "execute" in
-    match
-      Executor.run_profiled_result ~cold:false ~executor:t.cfg.executor ctx
-        p.plan
-    with
-    | Ok (rel, io, prof) ->
-      Trace.set_attr espan "rows" (Trace.I (Relation.cardinality rel));
-      Trace.set_attr espan "reads" (Trace.I io.Buffer_pool.reads);
-      Trace.set_attr espan "writes" (Trace.I io.Buffer_pool.writes);
-      Trace.set_attr espan "hits" (Trace.I io.Buffer_pool.hits);
-      let eid = Trace.id espan in
-      let _edur = Trace.finish espan in
-      List.iter
-        (emit_op_spans tr ~trace_id ~parent:eid ~t0:exec_t0)
-        (Profile.roots prof);
-      (p, rel, io)
-    | Error (e, prof) ->
-      Trace.set_attr espan "partial" (Trace.B true);
-      let eid = Trace.id espan in
-      let _edur = Trace.finish ~status:"error" espan in
-      List.iter
-        (emit_op_spans tr ~trace_id ~parent:eid ~t0:exec_t0)
-        (Profile.roots prof);
-      raise e
-  with
-  | p, rel, io ->
-    let dur = Trace.finish root in
-    Trace.note_slow tr ~fingerprint:(Fingerprint.to_hex stmt.fp)
-      ?sid:limits.sl_sid ~sql:stmt.template ~dur_ms:dur ~trace_id ();
-    observe_success t ~ms:dur ~io;
-    (p, rel, io)
-  | exception e ->
-    let dur = Trace.finish ~status:"error" root in
-    Trace.note_slow tr ~fingerprint:(Fingerprint.to_hex stmt.fp)
-      ?sid:limits.sl_sid ~sql:stmt.template ~dur_ms:dur ~trace_id ();
-    raise e
-
-(* Plan under the shared lock, execute on the caller's own context —
-   execution (the expensive part) runs outside any lock, and the IO
-   measurement is the delta of the executing domain's tally. *)
-let execute_on ctx ?cancel ?params ?(limits = no_limits) t stmt =
-  (* Session overrides take precedence over the service config; a work_mem
-     override gets its own context (a context's budget is fixed at creation
-     and shared with the cost model through the plan). *)
-  let ctx =
-    match limits.sl_work_mem with
-    | Some wm when wm <> Exec_ctx.work_mem ctx ->
-      Exec_ctx.create ~work_mem:wm t.cat
-    | _ -> ctx
-  in
-  let timeout_ms =
-    match limits.sl_timeout_ms with
-    | Some _ as o -> o
-    | None -> t.cfg.statement_timeout_ms
-  in
-  let spill_quota =
-    match limits.sl_spill_quota with
-    | Some _ as o -> o
-    | None -> t.cfg.spill_quota_pages
-  in
-  (* The deadline covers planning + execution; limits are (re)armed before
-     planning so a statement submitted after its token was cancelled never
-     runs at all (the executor's initial check fires). *)
-  Exec_ctx.begin_statement ?timeout_ms ?spill_quota ?cancel ctx;
-  Metrics.Counter.incr t.statements;
-  let t0 = Unix.gettimeofday () in
-  let fp = Fingerprint.to_hex stmt.fp in
-  let dop = Option.value ~default:t.cfg.dop limits.sl_dop in
-  match
-    match t.tracer with
-    | Some tr -> execute_traced tr ctx ?params ~limits t stmt
-    | None ->
-      let p = plan ?params ~limits t stmt in
-      let rel, io =
-        Executor.run_measured ~cold:false ~executor:t.cfg.executor ctx p.plan
-      in
-      observe_success t ~ms:((Unix.gettimeofday () -. t0) *. 1000.) ~io;
-      (p, rel, io)
-  with
-  | (p, rel, io) as r ->
-    Stmt_stats.record t.stats ~fp ~query:stmt.template
-      ~rows:(Relation.cardinality rel)
-      ~pages:(io.Buffer_pool.reads + io.Buffer_pool.writes)
-      ~spill_bytes:(Exec_ctx.spill_pages ctx * Page.size)
-      ~cache_hit:(p.source = Hit)
-      ~rebind:(p.source = Hit_rebound)
-      ~mv_hit:(Matview.rewritten_view p.rewrite <> None)
-      ~dop
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ();
-    r
-  | exception e ->
-    let error =
-      match Avq_error.of_exn e with
-      | Some te ->
-        record_error t te;
-        err_kind_label (err_slot te)
-      | None -> "exception"
-    in
-    Stmt_stats.record t.stats ~fp ~query:stmt.template ~error
-      ~spill_bytes:(Exec_ctx.spill_pages ctx * Page.size)
-      ~dop
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ();
-    raise e
-
-let execute ?params t stmt =
-  let ctx = Exec_ctx.create ~work_mem:t.cfg.work_mem t.cat in
-  execute_on ctx ?params t stmt
-
-let submit t sql = execute t (prepare t sql)
-
-(* EXPLAIN ANALYZE: plan through the cache like any statement, run under
-   per-operator profiling, zip actuals onto the plan next to the model's
-   estimates.  A failing run still produces the (partial) annotated tree. *)
-let explain_analyze ?params t stmt =
-  let ctx = Exec_ctx.create ~work_mem:t.cfg.work_mem t.cat in
-  Exec_ctx.begin_statement ?timeout_ms:t.cfg.statement_timeout_ms
-    ?spill_quota:t.cfg.spill_quota_pages ctx;
-  Metrics.Counter.incr t.statements;
-  let fp = Fingerprint.to_hex stmt.fp in
-  let p =
-    try plan ?params t stmt
-    with e ->
-      let error =
-        match Avq_error.of_exn e with
-        | Some te ->
-          record_error t te;
-          err_kind_label (err_slot te)
-        | None -> "exception"
-      in
-      Stmt_stats.record t.stats ~fp ~query:stmt.template ~error ~ms:0. ();
-      raise e
-  in
-  let t0 = Unix.gettimeofday () in
-  match
-    Executor.run_profiled_result ~cold:false ~executor:t.cfg.executor ctx
-      p.plan
-  with
-  | Ok (rel, io, prof) ->
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    observe_success t ~ms:(p.plan_ms +. wall_ms) ~io;
-    Stmt_stats.record t.stats ~fp ~query:stmt.template
-      ~rows:(Relation.cardinality rel)
-      ~pages:(io.Buffer_pool.reads + io.Buffer_pool.writes)
-      ~spill_bytes:(Exec_ctx.spill_pages ctx * Page.size)
-      ~cache_hit:(p.source = Hit)
-      ~rebind:(p.source = Hit_rebound)
-      ~mv_hit:(Matview.rewritten_view p.rewrite <> None)
-      ~ms:(p.plan_ms +. wall_ms) ();
-    ( p,
-      Ok rel,
-      Explain_analyze.of_profile t.cat ~work_mem:t.cfg.work_mem p.plan ~io
-        ~wall_ms prof )
-  | Error (e, prof) ->
-    let error =
-      match Avq_error.of_exn e with
-      | Some te ->
-        record_error t te;
-        err_kind_label (err_slot te)
-      | None -> "exception"
-    in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    Stmt_stats.record t.stats ~fp ~query:stmt.template ~error
-      ~spill_bytes:(Exec_ctx.spill_pages ctx * Page.size)
-      ~ms:(p.plan_ms +. wall_ms) ();
-    let io = { Buffer_pool.reads = 0; writes = 0; hits = 0 } in
-    ( p,
-      Error e,
-      Explain_analyze.of_profile t.cat ~work_mem:t.cfg.work_mem p.plan ~io
-        ~wall_ms prof )
-
 let pp_analysis t ppf (p, report) =
   Format.fprintf ppf
     "plan: source=%s algorithm=%s opt_ms=%.2f plan_ms=%.2f@\n\
@@ -951,131 +741,359 @@ let bad_stmt fmt =
    means no planner observes a half-applied write).  The epoch bump inside
    [Catalog.insert] / the extent swap invalidates cached plans on their next
    lookup.  Returns a human-readable completion tag. *)
-let exec_statement_inner t sql =
-  let count_err = record_error t in
-  let guard f =
-    try f () with
-    | Matview.Error m ->
-      let e = Avq_error.Bad_statement m in
-      count_err e; Avq_error.error e
-    | Binder.Bind_error m ->
-      let e = Avq_error.Bad_statement ("bind: " ^ m) in
-      count_err e; Avq_error.error e
-    | Invalid_argument m ->
-      let e = Avq_error.Bad_statement m in
-      count_err e; Avq_error.error e
-  in
-  Metrics.Counter.incr t.statements;
+let exec_dml t sql =
   match Parser.parse_script sql with
   | [ Sql_ast.S_insert { it_table; it_rows } ] ->
-    guard (fun () ->
-        if
-          String.length it_table >= String.length Matview.backing_prefix
-          && String.sub it_table 0 (String.length Matview.backing_prefix)
-             = Matview.backing_prefix
-        then bad_stmt "INSERT into a materialized-view extent is not allowed";
-        if Sysview.is_system_table it_table then
-          bad_stmt "INSERT into a system view is not allowed";
-        let rows = Binder.bind_insert t.cat ~table:it_table it_rows in
-        Sync.protect t.lock (fun () ->
-            (* Write-ahead: the bound rows hit the log (and, in always mode,
-               the disk) before the catalog mutates.  Replay re-runs
-               [Catalog.insert], which re-synthesizes identical [_rid]s. *)
-            let lsn =
-              wal_append_locked t (Wal.Insert { table = it_table; rows })
-            in
-            let stored = Catalog.insert t.cat ~table:it_table rows in
-            let versions_before =
-              List.map
-                (fun v -> (v.Matview.mv_name, v.Matview.mv_versions))
-                (Matview.views t.mviews)
-            in
-            Matview.on_insert t.cat t.mviews ~table:it_table ~rows:stored;
-            (* Informational markers for each view that absorbed the delta
-               (its version vector moved); covered by the insert's commit. *)
-            List.iter
-              (fun v ->
-                match List.assoc_opt v.Matview.mv_name versions_before with
-                | Some old when old <> v.Matview.mv_versions ->
-                  ignore
-                    (wal_append_locked t
-                       (Wal.Mv_delta
-                          { view = v.Matview.mv_name; table = it_table;
-                            rows = List.length stored }))
-                | _ -> ())
-              (Matview.views t.mviews);
-            wal_commit_locked t lsn;
-            Printf.sprintf "INSERT %d" (List.length stored)))
+    if
+      String.length it_table >= String.length Matview.backing_prefix
+      && String.sub it_table 0 (String.length Matview.backing_prefix)
+         = Matview.backing_prefix
+    then bad_stmt "INSERT into a materialized-view extent is not allowed";
+    if Sysview.is_system_table it_table then
+      bad_stmt "INSERT into a system view is not allowed";
+    let rows = Binder.bind_insert t.cat ~table:it_table it_rows in
+    Sync.protect t.lock (fun () ->
+        (* Write-ahead: the bound rows hit the log (and, in always mode,
+           the disk) before the catalog mutates.  Replay re-runs
+           [Catalog.insert], which re-synthesizes identical [_rid]s. *)
+        let lsn =
+          wal_append_locked t (Wal.Insert { table = it_table; rows })
+        in
+        let stored = Catalog.insert t.cat ~table:it_table rows in
+        let versions_before =
+          List.map
+            (fun v -> (v.Matview.mv_name, v.Matview.mv_versions))
+            (Matview.views t.mviews)
+        in
+        Matview.on_insert t.cat t.mviews ~table:it_table ~rows:stored;
+        (* Informational markers for each view that absorbed the delta
+           (its version vector moved); covered by the insert's commit. *)
+        List.iter
+          (fun v ->
+            match List.assoc_opt v.Matview.mv_name versions_before with
+            | Some old when old <> v.Matview.mv_versions ->
+              ignore
+                (wal_append_locked t
+                   (Wal.Mv_delta
+                      { view = v.Matview.mv_name; table = it_table;
+                        rows = List.length stored }))
+            | _ -> ())
+          (Matview.views t.mviews);
+        wal_commit_locked t lsn;
+        Printf.sprintf "INSERT %d" (List.length stored))
   | [ Sql_ast.S_create_matview { mv_name; mv_body } ] ->
-    guard (fun () ->
-        let def = Binder.bind_matview_body t.cat ~name:mv_name mv_body in
-        let sql_text = Pretty.select_to_string mv_body in
-        Sync.protect t.lock (fun () ->
-            let lsn =
-              wal_append_locked t
-                (Wal.Create_matview { name = mv_name; sql = sql_text })
-            in
-            let mv =
-              Matview.create_view ~options:(options t) t.cat t.mviews
-                ~name:mv_name ~sql:sql_text def
-            in
-            wal_commit_locked t lsn;
-            Printf.sprintf "CREATE MATERIALIZED VIEW %s (%d groups)" mv_name
-              (Matview.row_count t.cat mv)))
+    let def = Binder.bind_matview_body t.cat ~name:mv_name mv_body in
+    let sql_text = Pretty.select_to_string mv_body in
+    Sync.protect t.lock (fun () ->
+        let lsn =
+          wal_append_locked t
+            (Wal.Create_matview { name = mv_name; sql = sql_text })
+        in
+        let mv =
+          Matview.create_view ~options:(options t) t.cat t.mviews
+            ~name:mv_name ~sql:sql_text def
+        in
+        wal_commit_locked t lsn;
+        Printf.sprintf "CREATE MATERIALIZED VIEW %s (%d groups)" mv_name
+          (Matview.row_count t.cat mv))
   | [ Sql_ast.S_drop_matview name ] ->
-    guard (fun () ->
-        Sync.protect t.lock (fun () ->
-            let lsn = wal_append_locked t (Wal.Drop_matview name) in
-            Matview.drop t.cat t.mviews name;
-            wal_commit_locked t lsn;
-            Printf.sprintf "DROP MATERIALIZED VIEW %s" name))
+    Sync.protect t.lock (fun () ->
+        let lsn = wal_append_locked t (Wal.Drop_matview name) in
+        Matview.drop t.cat t.mviews name;
+        wal_commit_locked t lsn;
+        Printf.sprintf "DROP MATERIALIZED VIEW %s" name)
   | [ Sql_ast.S_refresh_matview name ] ->
-    guard (fun () ->
-        Sync.protect t.lock (fun () ->
-            let lsn = wal_append_locked t (Wal.Refresh_matview name) in
-            Matview.refresh ~options:(options t) t.cat t.mviews name;
-            (* The commit lands only after the refresh finished: an abort or
-               crash mid-refresh leaves an uncommitted record that replay
-               drops, so the recovered view is wholly old or wholly new. *)
-            wal_commit_locked t lsn;
-            let mv = Option.get (Matview.find t.mviews name) in
-            Printf.sprintf "REFRESH MATERIALIZED VIEW %s (%d groups)" name
-              (Matview.row_count t.cat mv)))
+    Sync.protect t.lock (fun () ->
+        let lsn = wal_append_locked t (Wal.Refresh_matview name) in
+        Matview.refresh ~options:(options t) t.cat t.mviews name;
+        (* The commit lands only after the refresh finished: an abort or
+           crash mid-refresh leaves an uncommitted record that replay
+           drops, so the recovered view is wholly old or wholly new. *)
+        wal_commit_locked t lsn;
+        let mv = Option.get (Matview.find t.mviews name) in
+        Printf.sprintf "REFRESH MATERIALIZED VIEW %s (%d groups)" name
+          (Matview.row_count t.cat mv))
   | _ -> bad_stmt "expected exactly one INSERT / MATERIALIZED VIEW statement"
 
-(* DML statements have no plan-cache fingerprint; key their stats on a
-   fingerprint of the trimmed text, and charge the WAL bytes their commit
-   appended (the cumulative counter's delta — checkpoint traffic between
-   statements is not attributed here because the lock is held across the
-   whole mutation). *)
-let exec_statement t sql =
-  let t0 = Unix.gettimeofday () in
-  let text = String.trim sql in
-  let fp = Fingerprint.to_hex (Fingerprint.of_string text) in
-  let wal_bytes () =
-    match t.wal with
-    | Some w -> (Wal.stats w).Wal.appended_bytes
-    | None -> 0
+(* ==== the statement record ==== *)
+
+(* Everything one statement did, built exactly once per statement, on the
+   success and the error path alike.  [run] fills it in as the statement
+   gets through arming, preparing, planning and executing, so a failed
+   statement still carries its plan and its partial IO; [finish] then feeds
+   every observability surface from this one value. *)
+type statement_record = {
+  mutable r_fp : string;
+  mutable r_query : string;
+  mutable r_planned : planned option;  (* [None]: DML, or failed earlier *)
+  r_dml : bool;
+  r_sid : int option;
+  r_dop : int;
+  mutable r_t0 : float;
+      (* Unix time the statement started: arming its limits.  Preparing is
+         timed on its own ([r_parse_ms], [r_canon_ms]) and not counted in
+         [r_total_ms], as a prepared statement pays it once, not per run. *)
+  mutable r_parse_ms : float;
+  mutable r_canon_ms : float;
+  mutable r_exec_t0 : float;
+  mutable r_exec_ms : float;
+  mutable r_total_ms : float;
+  mutable r_rows : int;
+  mutable r_io : Buffer_pool.stats;
+  mutable r_spill_bytes : int;
+  mutable r_wal_bytes : int;
+  mutable r_failed : bool;
+  mutable r_error : Avq_error.t option;  (* [None] on failure: untyped bug *)
+}
+
+(* The one exception -> typed-error mapping.  Bad input from any stage
+   (lexer, parser, binder, view definition, argument checks) is
+   [Bad_statement]; engine failures are typed already; anything else is an
+   engine bug and stays untyped. *)
+let typed_error = function
+  | Avq_error.Error e -> Some e
+  | Binder.Bind_error m -> Some (Avq_error.Bad_statement ("bind: " ^ m))
+  | Parser.Parse_error (m, off) ->
+    Some (Avq_error.Bad_statement (Printf.sprintf "parse at %d: %s" off m))
+  | Lexer.Lex_error (m, off) ->
+    Some (Avq_error.Bad_statement (Printf.sprintf "lex at %d: %s" off m))
+  | Matview.Error m | Invalid_argument m -> Some (Avq_error.Bad_statement m)
+  | _ -> None
+
+let pages io = io.Buffer_pool.reads + io.Buffer_pool.writes
+let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000.
+
+(* The class a failed statement is filed under, in stats and traces. *)
+let error_class r =
+  if not r.r_failed then None
+  else
+    Some
+      (match r.r_error with
+       | Some e -> err_kind_label (err_slot e)
+       | None -> "exception")
+
+let trace_record t tr r prof =
+  let trace_id = Trace.new_trace tr in
+  let status = if r.r_failed then "error" else "ok" in
+  let source =
+    match r.r_planned with
+    | Some p -> source_label p.source
+    | None -> if r.r_dml then "dml" else "unplanned"
   in
-  let before = wal_bytes () in
-  match exec_statement_inner t sql with
-  | tag ->
-    Stmt_stats.record t.stats ~fp ~query:text
-      ~wal_bytes:(wal_bytes () - before)
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ();
-    tag
-  | exception e ->
-    let error =
-      match Avq_error.of_exn e with
-      | Some te -> err_kind_label (err_slot te)
-      | None -> "exception"
+  let root =
+    Trace.emit tr ~trace_id ~status ~t0:r.r_t0 ~dur_ms:r.r_total_ms "statement"
+      (("fingerprint", Trace.S r.r_fp) :: ("source", Trace.S source)
+      :: (match error_class r with
+         | Some c -> [ ("error", Trace.S c) ]
+         | None -> []))
+  in
+  let child ?status ~t0 ~dur_ms name attrs =
+    Trace.emit tr ~trace_id ~parent:root ?status ~t0 ~dur_ms name attrs
+  in
+  (* Prepare-time work is re-emitted per execution so every trace is
+     self-contained, anchored at the statement start. *)
+  ignore (child ~t0:r.r_t0 ~dur_ms:r.r_parse_ms "parse" []);
+  ignore (child ~t0:r.r_t0 ~dur_ms:r.r_canon_ms "canonicalize" []);
+  (match r.r_planned with
+   | None -> ()
+   | Some p ->
+     let planned_at = r.r_exec_t0 -. (p.plan_ms /. 1000.) in
+     ignore
+       (child ~t0:planned_at ~dur_ms:p.plan_ms "plan" (plan_span_attrs t p));
+     (match p.rewrite with
+      | Matview.No_views -> ()
+      | d ->
+        ignore
+          (child ~t0:r.r_exec_t0 ~dur_ms:0. "view_rewrite"
+             (("decision", Trace.S (Matview.decision_to_string d))
+             :: (match Matview.rewritten_view d with
+                | Some v -> [ ("view", Trace.S v) ]
+                | None -> []))));
+     let eid =
+       child ~status ~t0:r.r_exec_t0 ~dur_ms:r.r_exec_ms "execute"
+         [ ("rows", Trace.I r.r_rows);
+           ("reads", Trace.I r.r_io.Buffer_pool.reads);
+           ("writes", Trace.I r.r_io.Buffer_pool.writes);
+           ("hits", Trace.I r.r_io.Buffer_pool.hits);
+           ("partial", Trace.B r.r_failed) ]
+     in
+     Option.iter
+       (fun prof ->
+         List.iter
+           (emit_op_spans tr ~trace_id ~parent:eid ~t0:r.r_exec_t0)
+           (Profile.roots prof))
+       prof);
+  Trace.note_slow tr ~fingerprint:r.r_fp ?sid:r.r_sid ~sql:r.r_query
+    ~dur_ms:r.r_total_ms ~trace_id ()
+
+(* Every observability surface reads the finished record: statement stats
+   (whose observation count is [avq_statements_total]), the latency and IO
+   histograms, the typed-error counters and the tracer. *)
+let finish t r prof =
+  Option.iter (record_error t) r.r_error;
+  if not r.r_failed then begin
+    Metrics.Histogram.observe t.stmt_ms r.r_total_ms;
+    Metrics.Histogram.observe t.stmt_io (float_of_int (pages r.r_io))
+  end;
+  let source = Option.map (fun p -> p.source) r.r_planned in
+  Stmt_stats.record t.stats ~fp:r.r_fp ~query:r.r_query ?error:(error_class r)
+    ~rows:r.r_rows ~pages:(pages r.r_io) ~spill_bytes:r.r_spill_bytes
+    ~cache_hit:(source = Some Hit) ~rebind:(source = Some Hit_rebound)
+    ~mv_hit:
+      (match r.r_planned with
+       | Some p -> Matview.rewritten_view p.rewrite <> None
+       | None -> false)
+    ?placement:(Option.map (fun p -> group_placement p.plan) r.r_planned)
+    ?q_error:
+      (match r.r_planned with
+       | Some p when not r.r_failed ->
+         Some
+           (Explain_analyze.q_error ~est:p.est.Cost_model.rows
+              ~actual:(float_of_int r.r_rows))
+       | _ -> None)
+    ~wal_bytes:r.r_wal_bytes ~dop:r.r_dop ~ms:r.r_total_ms ();
+  Option.iter (fun tr -> trace_record t tr r prof) t.tracer
+
+type _ request =
+  | Prepared : stmt * Value.t list option
+      -> (planned * Relation.t * Buffer_pool.stats) request
+  | Text : string -> (planned * Relation.t * Buffer_pool.stats) request
+      (** prepared inside [run], so a parse or bind failure is recorded *)
+  | Dml : string -> string request
+
+(* The one execute path.  Arms the statement limits, then prepares (for
+   [Text]), plans and executes a query -- under the profiler only when a
+   tracer is installed or [analyze] asks for it -- or applies a DML
+   statement.  Whatever happened, the record is finished exactly once and
+   a failure comes back typed wherever {!typed_error} knows it. *)
+let run (type a) ?cancel ?(limits = no_limits) ?(analyze = false) ?ctx t
+    (request : a request) : statement_record * Profile.t option * (a, exn) result
+    =
+  (* Text that never gets prepared (and DML, which has no plan-cache
+     template) is keyed on a fingerprint of the trimmed text. *)
+  let of_text sql =
+    let text = String.trim sql in
+    (Fingerprint.to_hex (Fingerprint.of_string text), text)
+  in
+  let (fp, query), dml =
+    match request with
+    | Prepared (s, _) -> ((Fingerprint.to_hex s.fp, s.template), false)
+    | Text sql -> (of_text sql, false)
+    | Dml sql -> (of_text sql, true)
+  in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    {
+      r_fp = fp; r_query = query; r_planned = None; r_dml = dml;
+      r_sid = limits.sl_sid;
+      r_dop = (if dml then 1 else Option.value ~default:t.cfg.dop limits.sl_dop);
+      r_t0 = t0; r_parse_ms = 0.; r_canon_ms = 0.; r_exec_t0 = t0;
+      r_exec_ms = 0.; r_total_ms = 0.; r_rows = 0;
+      r_io = { Buffer_pool.reads = 0; writes = 0; hits = 0 };
+      r_spill_bytes = 0; r_wal_bytes = 0; r_failed = false; r_error = None;
+    }
+  in
+  let prof = ref None in
+  (* Session overrides take precedence over the service config; a work_mem
+     override gets its own context (a context's budget is fixed at creation
+     and shared with the cost model through the plan).  The deadline covers
+     planning + execution, so a statement whose token was cancelled before
+     it started never runs at all (the executor's initial check fires). *)
+  let armed () =
+    let ctx =
+      match ctx, limits.sl_work_mem with
+      | Some c, Some wm when wm <> Exec_ctx.work_mem c ->
+        Exec_ctx.create ~work_mem:wm t.cat
+      | Some c, _ -> c
+      | None, wm ->
+        Exec_ctx.create ~work_mem:(Option.value ~default:t.cfg.work_mem wm) t.cat
     in
-    Stmt_stats.record t.stats ~fp ~query:text ~error
-      ~wal_bytes:(wal_bytes () - before)
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ();
-    raise e
+    let ( |? ) o default = match o with Some _ -> o | None -> default in
+    Exec_ctx.begin_statement ?cancel
+      ?timeout_ms:(limits.sl_timeout_ms |? t.cfg.statement_timeout_ms)
+      ?spill_quota:(limits.sl_spill_quota |? t.cfg.spill_quota_pages)
+      ctx;
+    ctx
+  in
+  let select ctx stmt params =
+    r.r_fp <- Fingerprint.to_hex stmt.fp;
+    r.r_query <- stmt.template;
+    r.r_parse_ms <- stmt.parse_ms;
+    r.r_canon_ms <- stmt.canon_ms;
+    let p = plan ?params ~limits t stmt in
+    r.r_planned <- Some p;
+    r.r_exec_t0 <- Unix.gettimeofday ();
+    let st = Exec_ctx.storage ctx in
+    let before = Storage.io_snapshot st in
+    let finally () =
+      r.r_exec_ms <- ms_since r.r_exec_t0;
+      r.r_io <- Storage.io_since st before;
+      r.r_spill_bytes <- Exec_ctx.spill_pages ctx * Page.size
+    in
+    let executor = t.cfg.executor in
+    let rel =
+      Fun.protect ~finally (fun () ->
+          if analyze || t.tracer <> None then (
+            match Executor.run_profiled_result ~executor ctx p.plan with
+            | Ok (rel, _, pr) -> prof := Some pr; rel
+            | Error (e, pr) -> prof := Some pr; raise e)
+          else Executor.run ~executor ctx p.plan)
+    in
+    r.r_rows <- Relation.cardinality rel;
+    (p, rel, r.r_io)
+  in
+  let work : unit -> a =
+    match request with
+    | Prepared (stmt, params) -> fun () -> select (armed ()) stmt params
+    | Text sql ->
+      fun () ->
+        let stmt = prepare t sql in
+        r.r_t0 <- Unix.gettimeofday ();
+        select (armed ()) stmt None
+    | Dml sql ->
+      fun () ->
+        let wal_bytes () =
+          match t.wal with Some w -> (Wal.stats w).Wal.appended_bytes | None -> 0
+        in
+        let before = wal_bytes () in
+        Fun.protect
+          ~finally:(fun () -> r.r_wal_bytes <- wal_bytes () - before)
+          (fun () -> exec_dml t sql)
+  in
+  let res =
+    match work () with
+    | v -> Ok v
+    | exception e ->
+      r.r_failed <- true;
+      r.r_error <- typed_error e;
+      Error (match r.r_error with Some te -> Avq_error.Error te | None -> e)
+  in
+  r.r_total_ms <- ms_since r.r_t0;
+  finish t r !prof;
+  (r, !prof, res)
+
+let result (_, _, res) = match res with Ok v -> v | Error e -> raise e
+
+let execute_on ctx ?cancel ?params ?limits t stmt =
+  result (run ?cancel ?limits ~ctx t (Prepared (stmt, params)))
+
+let execute ?params t stmt = result (run t (Prepared (stmt, params)))
+let submit t sql = result (run t (Text sql))
+let exec_statement t sql = result (run t (Dml sql))
+
+(* EXPLAIN ANALYZE: the statement's own run, forced under the profiler,
+   with the actuals zipped onto the plan next to the model's estimates.  A
+   failing run still produces the (partial) annotated tree. *)
+let explain_analyze ?params ?(limits = no_limits) t stmt =
+  let work_mem = Option.value ~default:t.cfg.work_mem limits.sl_work_mem in
+  let r, prof, res = run ~analyze:true ~limits t (Prepared (stmt, params)) in
+  match r.r_planned, prof with
+  | Some p, Some prof ->
+    ( p,
+      Result.map (fun (_, rel, _) -> rel) res,
+      Explain_analyze.of_profile t.cat ~work_mem p.plan ~io:r.r_io
+        ~wall_ms:r.r_exec_ms prof )
+  | _ -> raise (Result.get_error res) (* planning failed: nothing ran *)
 
 let render_matviews t =
   Sync.protect t.lock (fun () ->
@@ -1112,16 +1130,7 @@ let render_matviews t =
 module Pool = struct
   type service = t
 
-  (* As in [Sync]: [Mutex.protect] would bump the lower bound to 5.1. *)
-  let protect m f =
-    Mutex.lock m;
-    match f () with
-    | v ->
-      Mutex.unlock m;
-      v
-    | exception e ->
-      Mutex.unlock m;
-      raise e
+  let protect = Sync.protect
 
   type outcome = (planned * Relation.t * Buffer_pool.stats, exn) result
 
@@ -1160,24 +1169,7 @@ module Pool = struct
   let run_task svc ctx cancel = function
     | Stmt (stmt, params, limits) ->
       execute_on ctx ~cancel ?params ~limits svc stmt
-    | Sql (sql, limits) ->
-      (* Parse/bind failures become typed [Bad_statement] so session batches
-         report them structurally and keep going; planner/executor bugs
-         (other exceptions) still propagate untyped through the future. *)
-      let bad m =
-        let e = Avq_error.Bad_statement m in
-        record_error svc e;
-        Avq_error.error e
-      in
-      let stmt =
-        try prepare svc sql with
-        | Binder.Bind_error msg -> bad ("bind: " ^ msg)
-        | Parser.Parse_error (msg, off) ->
-          bad (Printf.sprintf "parse at %d: %s" off msg)
-        | Lexer.Lex_error (msg, off) ->
-          bad (Printf.sprintf "lex at %d: %s" off msg)
-      in
-      execute_on ctx ~cancel ~limits svc stmt
+    | Sql (sql, limits) -> result (run ~cancel ~limits ~ctx svc (Text sql))
 
   (* Worker body: one private [Exec_ctx] for the domain's whole lifetime
      (temps are cleaned per run; the context is just the temp registry and

@@ -187,7 +187,26 @@ val execute_on :
     from the service config overridden by [limits] (a [sl_work_mem]
     override executes on a fresh context at that budget); [cancel] is an
     externally-settable abort token.  A failing statement bumps the
-    matching typed-error counter (see {!error_stats}) and re-raises. *)
+    matching typed-error counter (see {!error_stats}) and re-raises, typed
+    as [Avq_error.Error] whenever the failure is bad input or an engine
+    error.
+
+    Every statement entry point ({!execute_on}, {!execute}, {!submit},
+    {!explain_analyze}, {!exec_statement} and the {!Pool}) runs through one
+    private path that builds one statement record -- fingerprint, plan
+    source, per-phase times, rows, IO, spill and WAL bytes, dop, matview
+    decision, group-by placement, root-row estimate, typed error -- and
+    feeds every observability surface from it: {!Stmt_stats}, the
+    [avq_statement_ms] / [avq_statement_io_pages] histograms,
+    [avq_statements_total], [avq_errors_total] and the tracer.  The
+    statement runs under the per-operator profiler only when a tracer is
+    installed or EXPLAIN ANALYZE asked for it. *)
+
+val typed_error : exn -> Avq_error.t option
+(** The one exception-to-typed-error mapping every statement goes through:
+    lexer, parser, binder, view-definition and argument errors are
+    [Bad_statement], [Avq_error.Error e] is [e], anything else is an
+    untyped engine bug ([None]). *)
 
 val record_error : t -> Avq_error.t -> unit
 (** Count a typed failure that struck outside {!execute_on} — e.g. the
@@ -195,7 +214,8 @@ val record_error : t -> Avq_error.t -> unit
     [avq_errors_total] family stay the single source of truth. *)
 
 val submit : t -> string -> planned * Relation.t * Buffer_pool.stats
-(** One-shot convenience: {!prepare} then {!execute}, sharing the cache. *)
+(** One-shot convenience: {!prepare} then {!execute}, sharing the cache.
+    A parse or bind failure is recorded and raised as [Bad_statement]. *)
 
 (** {1 Observability} *)
 
@@ -206,14 +226,13 @@ val metrics : t -> Metrics.t
 
 val stats_store : t -> Stmt_stats.t
 (** The always-on per-fingerprint statement statistics.  Every statement
-    path ({!execute_on}, {!exec_statement}, {!explain_analyze}) records
-    exactly one observation per [avq_statements_total] increment, so total
-    calls across fingerprints track that counter until eviction or
-    {!Stmt_stats.reset} discards history. *)
+    records exactly one observation, and [avq_statements_total] is
+    {!Stmt_stats.recorded}, so total calls across fingerprints equal that
+    counter until eviction or {!Stmt_stats.reset} discards history. *)
 
 val set_tracer : t -> Trace.tracer option -> unit
-(** Install (or remove) the statement tracer.  When set, every
-    {!execute}/{!execute_on} emits one span tree — statement → parse /
+(** Install (or remove) the statement tracer.  When set, every statement
+    emits one span tree rendered from its record — statement → parse /
     canonicalize / plan / execute, with per-operator child spans under
     execute — and slow statements hit the tracer's slow-query log. *)
 
@@ -221,13 +240,15 @@ val tracer : t -> Trace.tracer option
 
 val explain_analyze :
   ?params:Value.t list ->
+  ?limits:session_limits ->
   t ->
   stmt ->
   planned * (Relation.t, exn) result * Explain_analyze.t
-(** Plan through the cache like any statement, run under per-operator
-    profiling, and return the annotated estimated-vs-actual tree.  A failing
-    run still returns the (partial) tree with its [error] set; typed errors
-    are counted as usual. *)
+(** Run the statement like any other (same limits, same record), but under
+    per-operator profiling, and return the annotated estimated-vs-actual
+    tree.  A failing run still returns the (partial) tree with its [error]
+    set and the IO the statement did before it failed.
+    @raise Avq_error.Error if planning fails. *)
 
 val pp_analysis :
   t -> Format.formatter -> planned * Explain_analyze.t -> unit
@@ -300,7 +321,7 @@ val exec_statement : t -> string -> string
 (** Execute one INSERT / CREATE / DROP / REFRESH MATERIALIZED VIEW
     statement, returning a completion tag such as ["INSERT 3"].
     Raises [Avq_error.Error (Bad_statement _)] (counted in
-    {!error_stats}) on anything else or on bind/definition errors. *)
+    {!error_stats}) on anything else or on parse/bind/definition errors. *)
 
 val render_matviews : t -> string
 (** Multi-line listing for the [\dm] session directive: per view its name,

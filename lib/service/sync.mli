@@ -6,7 +6,7 @@
     atomics ({!Counter}, {!Fsum}) so {!Service.stats} can read them without
     blocking the planning path. *)
 
-type t
+type t = Mutex.t
 
 val create : unit -> t
 

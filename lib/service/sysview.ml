@@ -65,7 +65,8 @@ let statements_columns =
     ("pages", Datatype.Int); ("spill_bytes", Datatype.Int);
     ("cache_hits", Datatype.Int); ("rebinds", Datatype.Int);
     ("mv_hits", Datatype.Int); ("wal_bytes", Datatype.Int);
-    ("max_dop", Datatype.Int) ]
+    ("max_dop", Datatype.Int); ("group_placement", Datatype.String);
+    ("q_error_mean", Datatype.Float); ("q_error_max", Datatype.Float) ]
 
 let statements_rows stats =
   List.map
@@ -75,7 +76,8 @@ let statements_rows stats =
           f st.total_ms; f st.mean_ms; f st.min_ms; f st.max_ms;
           f st.p50_ms; f st.p95_ms; f st.p99_ms; i st.rows; i st.pages;
           i st.spill_bytes; i st.cache_hits; i st.rebinds; i st.mv_hits;
-          i st.wal_bytes; i st.max_dop ])
+          i st.wal_bytes; i st.max_dop; s st.group_placement;
+          f st.q_error_mean; f st.q_error_max ])
     (Stmt_stats.snapshot stats)
 
 let tables_columns =

@@ -298,6 +298,42 @@ let server_directives () =
       | _ -> Alcotest.fail "explain analyze: unexpected reply");
       Client.close c)
 
+(* A malformed INSERT fails typed in one place: the wire reply, the
+   statement's stats entry and avq_errors_total all say bad_statement. *)
+let server_malformed_insert_typed () =
+  with_server (fun svc srv ->
+      let c = connect srv in
+      let bad = "INSERT INTO dept VALUES (77, 1" in
+      expect_err "wire kind" "bad-statement" (Client.query c bad);
+      Client.close c;
+      (match
+         List.find_opt
+           (fun s -> s.Stmt_stats.query = bad)
+           (Stmt_stats.snapshot (Service.stats_store svc))
+       with
+      | Some s ->
+        Alcotest.(check (list (pair string int))) "stats error class"
+          [ ("bad_statement", 1) ] s.Stmt_stats.error_classes
+      | None -> Alcotest.fail "malformed INSERT not recorded");
+      Alcotest.(check int) "typed-error counter" 1
+        (Service.stats svc).Service.errors.Service.bad_statements;
+      Alcotest.(check bool) "avq_errors_total{kind=bad_statement}" true
+        (contains
+           (Metrics.to_prometheus (Service.metrics svc))
+           "avq_errors_total{kind=\"bad_statement\"} 1\n"))
+
+(* EXPLAIN ANALYZE runs under the session's SET limits like any statement. *)
+let server_explain_analyze_limits () =
+  with_server (fun _svc srv ->
+      let c = connect srv in
+      (match Client.set c "timeout_ms" "1" with
+      | Protocol.Result _ -> ()
+      | _ -> Alcotest.fail "SET must succeed");
+      expect_err "EXPLAIN ANALYZE honours SET timeout_ms" "timeout"
+        (Client.query c ("EXPLAIN ANALYZE " ^ slow_sql));
+      Client.close c)
+
+
 let server_admission_rejects () =
   (* max_queue = 0: every statement is over the admission bound, so the
      typed rejection path is exercised deterministically *)
@@ -555,6 +591,10 @@ let tests =
       server_prepared;
     Alcotest.test_case "server: directives, writes, explain analyze" `Quick
       server_directives;
+    Alcotest.test_case "server: malformed INSERT is typed everywhere" `Quick
+      server_malformed_insert_typed;
+    Alcotest.test_case "server: EXPLAIN ANALYZE honours SET limits" `Quick
+      server_explain_analyze_limits;
     Alcotest.test_case "server: admission control rejects typed" `Quick
       server_admission_rejects;
     Alcotest.test_case "server: draining rejects with unavailable" `Quick

@@ -197,7 +197,7 @@ let sysview_statements () =
   in
   Alcotest.(check bool) "at least the probe row" true
     (Relation.cardinality rel >= 1);
-  Alcotest.(check int) "all 19 columns" 19 (Schema.arity (Relation.schema rel));
+  Alcotest.(check int) "all 22 columns" 22 (Schema.arity (Relation.schema rel));
   (* total_ms (column 4) really is descending *)
   let totals =
     List.map
@@ -220,6 +220,23 @@ let sysview_statements () =
   | [ t ] ->
     Alcotest.(check bool) "second call hit the plan cache" true
       (Tuple.get t 2 = Value.Int 1)
+  | _ -> Alcotest.fail "expected one row");
+  (* the paper's choice per fingerprint: where the group-by went, and how
+     far the root-row estimate was off *)
+  let rel3 =
+    run svc
+      "SELECT s.group_placement AS gp, s.q_error_mean AS qm, s.q_error_max \
+       AS qx FROM avq_stat_statements s WHERE s.calls = 2"
+  in
+  (match Relation.tuples rel3 with
+  | [ t ] ->
+    Alcotest.(check bool) "single-table group-by sits above no join" true
+      (Tuple.get t 0 = Value.String "late");
+    (match Tuple.get t 1, Tuple.get t 2 with
+    | Value.Float qm, Value.Float qx ->
+      Alcotest.(check bool) "q-errors are >= 1 and mean <= max" true
+        (qm >= 1. && qx >= qm)
+    | _ -> Alcotest.fail "q-error columns must be floats")
   | _ -> Alcotest.fail "expected one row");
   (* writes into system views are refused with a typed error *)
   match
@@ -581,6 +598,222 @@ let prometheus_buckets () =
   Alcotest.(check bool) "cumulative monotone" true
     (List.sort compare bucket_counts = bucket_counts)
 
+(* ---- one statement record, every surface ---- *)
+
+(* Run [f] with a fresh tracer installed; return its value and the JSONL
+   lines it wrote. *)
+let traced svc f =
+  let path = Filename.temp_file "avq_record" ".jsonl" in
+  let tr = Trace.create_file path in
+  Service.set_tracer svc (Some tr);
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        Service.set_tracer svc None;
+        Trace.close tr)
+      f
+  in
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  Sys.remove path;
+  (v, lines)
+
+let span lines name =
+  match List.filter (fun l -> Obs_tests.fx l "name" = name) lines with
+  | [ l ] -> l
+  | ls -> Alcotest.failf "expected one %s span, got %d" name (List.length ls)
+
+let int_attr l k = int_of_string (Obs_tests.fx l k)
+let float_attr l k = float_of_string (Obs_tests.fx l k)
+
+(* The fields of one entry of the /statements JSON body. *)
+let json_entry body fp =
+  let key = Printf.sprintf "\"fingerprint\": \"%s\"" fp in
+  let rec find i =
+    if i + String.length key > String.length body then
+      Alcotest.failf "fingerprint %s not in /statements" fp
+    else if String.sub body i (String.length key) = key then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub body i (String.index_from body i '}' - i)
+
+let with_http svc f =
+  Lifecycle.reset ();
+  let h =
+    Http.start ~port:0
+      ~metrics:(fun () -> Metrics.to_prometheus (Service.metrics svc))
+      ~statements:(fun ~n -> Stmt_stats.to_json_top ~n (Service.stats_store svc))
+      ()
+  in
+  Http.set_ready h;
+  Fun.protect
+    ~finally:(fun () ->
+      Http.stop h;
+      Lifecycle.reset ())
+    (fun () -> f (Http.port h))
+
+(* One EXPLAIN ANALYZE with a tracer installed: its rows, pages, plan
+   source, group-by placement and latency must read the same in the trace,
+   the stats store, avq_stat_statements, /statements, /metrics and the
+   rendered analysis -- they are all renderings of one record. *)
+let record_surfaces_agree () =
+  let svc = make_service () in
+  let sql =
+    "SELECT d.dname AS dname, COUNT(*) AS c FROM emp e, dept d WHERE e.dno = \
+     d.dno GROUP BY d.dname"
+  in
+  let (p, res, report), lines =
+    traced svc (fun () -> Service.explain_analyze svc (Service.prepare svc sql))
+  in
+  let rows =
+    match res with
+    | Ok rel -> Relation.cardinality rel
+    | Error e ->
+      Alcotest.failf "explain analyze failed: %s" (Printexc.to_string e)
+  in
+  let io = report.Explain_analyze.io in
+  let pages = io.Buffer_pool.reads + io.Buffer_pool.writes in
+  let source = Service.source_label p.Service.source in
+  let placement = Service.group_placement p.Service.plan in
+  (* EXPLAIN ANALYZE *)
+  let rendered = Format.asprintf "%a" (Service.pp_analysis svc) (p, report) in
+  check_contains "analysis" rendered ("source=" ^ source);
+  check_contains "analysis" rendered ("group_placement=" ^ placement);
+  Alcotest.(check int) "analysis root rows" rows
+    report.Explain_analyze.root.Explain_analyze.rows;
+  (* the trace *)
+  let root = span lines "statement" and plan = span lines "plan" in
+  let exec = span lines "execute" in
+  Alcotest.(check string) "statement span source" source
+    (Obs_tests.fx root "source");
+  Alcotest.(check string) "plan span source" source (Obs_tests.fx plan "source");
+  Alcotest.(check string) "plan span placement" placement
+    (Obs_tests.fx plan "group_placement");
+  Alcotest.(check int) "execute span rows" rows (int_attr exec "rows");
+  Alcotest.(check int) "execute span pages" pages
+    (int_attr exec "reads" + int_attr exec "writes");
+  Alcotest.(check (float 0.001)) "execute span = analysis wall time"
+    report.Explain_analyze.wall_ms (float_attr exec "dur_ms");
+  (* the stats store *)
+  let st =
+    match Stmt_stats.snapshot (Service.stats_store svc) with
+    | [ st ] -> st
+    | l ->
+      Alcotest.failf "expected one tracked statement, got %d"
+        (List.length l)
+  in
+  Alcotest.(check int) "stats rows" rows st.Stmt_stats.rows;
+  Alcotest.(check int) "stats pages" pages st.Stmt_stats.pages;
+  Alcotest.(check int) "stats cache hits" (if source = "hit" then 1 else 0)
+    st.Stmt_stats.cache_hits;
+  Alcotest.(check string) "stats placement" placement
+    st.Stmt_stats.group_placement;
+  Alcotest.(check (float 0.001)) "statement span = stats latency"
+    st.Stmt_stats.total_ms (float_attr root "dur_ms");
+  let p50 = st.Stmt_stats.p50_ms in
+  with_http svc (fun port ->
+      (* /statements *)
+      let _, body = http_get port "/statements?n=10" in
+      let entry = json_entry body st.Stmt_stats.fingerprint in
+      check_contains "json" entry (Printf.sprintf "\"rows\": %d," rows);
+      check_contains "json" entry (Printf.sprintf "\"pages\": %d," pages);
+      check_contains "json" entry
+        (Printf.sprintf "\"group_placement\": \"%s\"" placement);
+      check_contains "json" entry
+        (Printf.sprintf "\"p50_ms\": %s," (Metrics.json_float p50));
+      (* /metrics: the latency histogram's first non-empty bucket is the
+         one p50 names *)
+      let _, prom = http_get port "/metrics" in
+      check_contains "histogram" prom
+        (Printf.sprintf "avq_statement_ms_bucket{le=\"%s\"} 1\n"
+           (Metrics.json_float p50));
+      Array.iter
+        (fun le ->
+          if le < p50 then
+            check_contains "histogram" prom
+              (Printf.sprintf "avq_statement_ms_bucket{le=\"%s\"} 0\n"
+                 (Metrics.json_float le)))
+        Metrics.Histogram.latency_ms_buckets);
+  (* avq_stat_statements over SQL, last: it records a statement itself *)
+  (match
+     Relation.tuples
+       (run svc
+          (Printf.sprintf
+             "SELECT s.rows AS r, s.pages AS pg, s.group_placement AS gp, \
+              s.p50_ms AS p50 FROM avq_stat_statements s WHERE s.fingerprint \
+              = '%s'"
+             st.Stmt_stats.fingerprint))
+   with
+  | [ t ] ->
+    Alcotest.(check bool) "view rows/pages/placement/bucket" true
+      (Tuple.get t 0 = Value.Int rows
+      && Tuple.get t 1 = Value.Int pages
+      && Tuple.get t 2 = Value.String placement
+      && Tuple.get t 3 = Value.Float p50)
+  | l -> Alcotest.failf "expected one view row, got %d" (List.length l))
+
+(* A timed-out statement: one record filed under [timeout], one tick of
+   avq_errors_total{kind="timeout"}, and an error-status trace. *)
+let record_timeout_agrees () =
+  let svc = make_service () in
+  let slow =
+    "SELECT e1.dno AS dno, COUNT(*) AS n FROM emp e1, emp e2, emp e3 WHERE \
+     e1.dno = e2.dno AND e2.dno = e3.dno GROUP BY e1.dno"
+  in
+  let limits = { Service.no_limits with Service.sl_timeout_ms = Some 1. } in
+  let timed_out, lines =
+    traced svc (fun () ->
+        match
+          Service.execute_on
+            (Exec_ctx.create (Service.catalog svc))
+            ~limits svc (Service.prepare svc slow)
+        with
+        | _ -> false
+        | exception Avq_error.Error (Avq_error.Timeout _) -> true)
+  in
+  Alcotest.(check bool) "statement timed out" true timed_out;
+  (match Stmt_stats.snapshot (Service.stats_store svc) with
+  | [ st ] ->
+    Alcotest.(check int) "one call" 1 st.Stmt_stats.calls;
+    Alcotest.(check (list (pair string int))) "filed under timeout"
+      [ ("timeout", 1) ] st.Stmt_stats.error_classes
+  | l ->
+    Alcotest.failf "expected one tracked statement, got %d"
+      (List.length l));
+  Alcotest.(check int) "typed-error counter" 1
+    (Service.stats svc).Service.errors.Service.timeouts;
+  check_contains "errors family"
+    (Metrics.to_prometheus (Service.metrics svc))
+    "avq_errors_total{kind=\"timeout\"} 1\n";
+  let root = span lines "statement" in
+  Alcotest.(check string) "trace status" "error" (Obs_tests.fx root "status");
+  Alcotest.(check string) "trace error kind" "timeout" (Obs_tests.fx root "error")
+
+(* A failed EXPLAIN ANALYZE keeps the IO its run did before failing. *)
+let analyze_keeps_partial_io () =
+  let svc = make_service () in
+  let sql =
+    "SELECT e.dno AS dno, COUNT(*) AS c FROM emp e WHERE 100 / (e.age - 40) \
+     > -1000 GROUP BY e.dno"
+  in
+  let _, res, report = Service.explain_analyze svc (Service.prepare svc sql) in
+  Alcotest.(check bool) "division by zero fails the run" true
+    (Result.is_error res);
+  let io = report.Explain_analyze.io in
+  Alcotest.(check bool) "partial page touches reported" true
+    (io.Buffer_pool.reads + io.Buffer_pool.writes + io.Buffer_pool.hits > 0);
+  match Stmt_stats.snapshot (Service.stats_store svc) with
+  | [ st ] ->
+    Alcotest.(check (list (pair string int))) "filed as an untyped failure"
+      [ ("exception", 1) ] st.Stmt_stats.error_classes
+  | l ->
+    Alcotest.failf "expected one tracked statement, got %d"
+      (List.length l)
+
 let tests =
   [
     Alcotest.test_case "stmt_stats: record + snapshot" `Quick stats_basics;
@@ -611,4 +844,10 @@ let tests =
     Alcotest.test_case "data-dir lock" `Quick dir_lock;
     Alcotest.test_case "Prometheus cumulative buckets" `Quick
       prometheus_buckets;
+    Alcotest.test_case "one record: every surface agrees" `Quick
+      record_surfaces_agree;
+    Alcotest.test_case "one record: a timeout agrees everywhere" `Quick
+      record_timeout_agrees;
+    Alcotest.test_case "EXPLAIN ANALYZE keeps a failed run's IO" `Quick
+      analyze_keeps_partial_io;
   ]
