@@ -51,9 +51,13 @@ module Json = struct
       Printf.sprintf "%.0f" x
     else Printf.sprintf "%.6g" x
 
-  let write ~exp ~ts =
+  let take () =
     let recs = List.rev !pending in
     pending := [];
+    recs
+
+  let write ~exp ~ts =
+    let recs = take () in
     let oc = open_out (Printf.sprintf "BENCH_%s.json" exp) in
     let out fmt = Printf.fprintf oc fmt in
     out "{\n  \"experiment\": \"%s\",\n  \"schema\": %d,\n  \"ts\": %.3f,\n  \"records\": ["
@@ -77,6 +81,33 @@ module Json = struct
       recs;
     out "\n  ]\n}\n";
     close_out oc
+
+  (* (name, io) of each record of a BENCH_<exp>.json written by [write], in
+     record order ([write] puts one record per line). *)
+  let committed_io ~exp =
+    let ic = open_in (Printf.sprintf "BENCH_%s.json" exp) in
+    let field line key =
+      let pat = Printf.sprintf "\"%s\": " key in
+      let n = String.length line and m = String.length pat in
+      let rec find i =
+        if i + m > n then None
+        else if String.sub line i m = pat then Some (i + m)
+        else find (i + 1)
+      in
+      find 0
+    in
+    let rec loop acc =
+      match input_line ic with
+      | exception End_of_file -> List.rev acc
+      | line -> (
+        match field line "name", field line "io" with
+        | Some i, Some j ->
+          let name = Scanf.sscanf (String.sub line i (String.length line - i)) "%S" Fun.id in
+          let io = Scanf.sscanf (String.sub line j (String.length line - j)) "%f" Fun.id in
+          loop ((name, io) :: acc)
+        | _ -> loop acc)
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> loop [])
 end
 
 type outcome = {

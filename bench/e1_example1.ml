@@ -7,40 +7,6 @@
    the winner.  We sweep the age limit (predicate selectivity) and the
    number of departments (group count). *)
 
-let plan_b_query age_limit =
-  (* The paper's query B, written directly as a single-block query. *)
-  let c ~q n = Schema.column ~qual:q n Datatype.Int in
-  let avg_sal =
-    Aggregate.make Aggregate.Avg ~arg:(Expr.Col (c ~q:"e2" "sal")) "asal"
-  in
-  {
-    Block.q_views = [];
-    q_rels =
-      [
-        { Block.r_alias = "e1"; r_table = "emp" };
-        { Block.r_alias = "e2"; r_table = "emp" };
-      ];
-    q_preds =
-      [
-        Expr.Cmp (Expr.Eq, Expr.Col (c ~q:"e1" "dno"), Expr.Col (c ~q:"e2" "dno"));
-        Expr.Cmp (Expr.Lt, Expr.Col (c ~q:"e1" "age"), Expr.int age_limit);
-      ];
-    q_grouped = true;
-    q_keys = [ c ~q:"e2" "dno"; c ~q:"e1" "eno"; c ~q:"e1" "sal" ];
-    q_aggs = [ avg_sal ];
-    q_having =
-      [
-        Expr.Cmp
-          ( Expr.Gt,
-            Expr.Col (c ~q:"e1" "sal"),
-            Expr.Col (Schema.column ~qual:"" "asal" Datatype.Float) );
-      ];
-    q_select =
-      [ Block.Sel_col (c ~q:"e1" "eno", "eno"); Block.Sel_col (c ~q:"e1" "sal", "sal") ];
-    q_order = [];
-    q_limit = None;
-  }
-
 let run () =
   let emps = 30_000 in
   let age_max = 2000 in
@@ -54,7 +20,7 @@ let run () =
           in
           let cat = Emp_dept.load ~params () in
           let qa = Emp_dept.example1 ~age_limit () in
-          let qb = plan_b_query age_limit in
+          let qb = Emp_dept.example1_pulled_up ~age_limit () in
           let work_mem = 8 in
           let a = Bench_util.run_algo ~work_mem cat qa Optimizer.Traditional in
           let b = Bench_util.run_algo ~work_mem cat qb Optimizer.Greedy_conservative in

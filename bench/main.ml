@@ -3,6 +3,9 @@
      dune exec bench/main.exe                 -- all experiments
      dune exec bench/main.exe -- E1 E6        -- selected experiments
      dune exec bench/main.exe -- --bechamel   -- Bechamel optimizer micro-benchmarks
+     dune exec bench/main.exe -- --compare E1 E5
+         -- re-run and compare every record's page IO against the committed
+            BENCH_E<k>.json (not rewritten); exits 1 on any difference
 *)
 
 let experiments =
@@ -94,6 +97,45 @@ let run_bechamel () =
          |> List.map (fun (k, v) -> (k, v))))
     tests
 
+(* Page IO is deterministic (fixed seeds, cold pool per run), so any change
+   against the committed record is a change in the plan or the executor. *)
+let compare_io to_run =
+  let differing =
+    List.filter
+      (fun (name, run) ->
+        run ();
+        let now =
+          List.map
+            (fun (r : Bench_util.Json.record) ->
+              (r.Bench_util.Json.rname, List.assoc "io" r.Bench_util.Json.rmetrics))
+            (Bench_util.Json.take ())
+        in
+        let before = Bench_util.Json.committed_io ~exp:name in
+        let diffs =
+          if List.length now <> List.length before then
+            [ Printf.sprintf "%d records, committed %d" (List.length now)
+                (List.length before) ]
+          else
+            List.concat
+              (List.mapi
+                 (fun i ((n1, io1), (n0, io0)) ->
+                   if n1 = n0 && io1 = io0 then []
+                   else [ Printf.sprintf "record %d: %s io=%.0f, committed %s io=%.0f" i n1 io1 n0 io0 ])
+                 (List.combine now before))
+        in
+        if diffs = [] then
+          Printf.printf "%s: all %d io values match BENCH_%s.json\n%!" name
+            (List.length now) name
+        else
+          List.iter (fun d -> Printf.printf "%s: DIFFERS %s\n%!" name d) diffs;
+        diffs <> [])
+      to_run
+  in
+  if differing <> [] then begin
+    Printf.printf "io differs in %s\n" (String.concat " " (List.map fst differing));
+    exit 1
+  end
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   if List.mem "--bechamel" args then run_bechamel ()
@@ -103,6 +145,8 @@ let () =
       if selected = [] then experiments
       else List.filter (fun (n, _) -> List.mem n selected) experiments
     in
+    if List.mem "--compare" args then compare_io to_run
+    else
     let ts = Unix.gettimeofday () in
     List.iter
       (fun (name, run) ->

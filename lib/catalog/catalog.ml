@@ -52,9 +52,8 @@ let table_exn t name =
 let tables t = t.table_list
 let foreign_keys t = t.fks
 
-let add_table t ~name ~columns ~pk ?(index = []) ?cluster rows =
-  if find_table t name <> None then
-    invalid_arg (Printf.sprintf "Catalog.add_table: duplicate table %s" name);
+(* Load, analyze and index a table without registering it. *)
+let build_table t ~name ~columns ~pk ?(index = []) ?cluster rows =
   let check_col c =
     if not (List.exists (fun (n, _) -> String.equal n c) columns) then
       invalid_arg (Printf.sprintf "Catalog.add_table %s: unknown column %s" name c)
@@ -105,10 +104,13 @@ let add_table t ~name ~columns ~pk ?(index = []) ?cluster rows =
         (cname, Storage.build_index t.storage heap ~column:col))
       to_index
   in
-  let tbl =
-    { tname = name; tschema = schema; primary_key = pk; heap; indexes; tstats;
-      clustered }
-  in
+  { tname = name; tschema = schema; primary_key = pk; heap; indexes; tstats;
+    clustered }
+
+let add_table t ~name ~columns ~pk ?index ?cluster rows =
+  if find_table t name <> None then
+    invalid_arg (Printf.sprintf "Catalog.add_table: duplicate table %s" name);
+  let tbl = build_table t ~name ~columns ~pk ?index ?cluster rows in
   t.table_list <- t.table_list @ [ tbl ];
   bump_epoch t;
   tbl
@@ -300,17 +302,18 @@ let replace_rows t name rows =
   let columns =
     List.map (fun c -> (c.Schema.cname, c.Schema.cty)) (Schema.columns tbl.tschema)
   in
-  let index = List.map fst tbl.indexes in
-  let saved_fks = t.fks in
   Heap_file.drop tbl.heap;
-  t.table_list <-
-    List.filter (fun x -> not (String.equal x.tname name)) t.table_list;
   let tbl' =
-    add_table t ~name ~columns ~pk:tbl.primary_key ~index ?cluster:tbl.clustered
-      rows
+    build_table t ~name ~columns ~pk:tbl.primary_key
+      ~index:(List.map fst tbl.indexes) ?cluster:tbl.clustered rows
   in
-  t.fks <- saved_fks;
+  (* One assignment swaps the new table in at the old one's position: a
+     concurrent reader finds either the old table or the new one, never
+     neither.  (Dropping the old heap's frames leaves its rows readable.) *)
+  t.table_list <-
+    List.map (fun x -> if String.equal x.tname name then tbl' else x) t.table_list;
   bump_version t name;
+  bump_epoch t;
   tbl'
 
 let add_foreign_key t ~from:(ft, fc) ~refs:(pt, pc) =

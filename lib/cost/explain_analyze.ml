@@ -89,11 +89,11 @@ let of_profile cat ~work_mem plan ~io ~wall_ms prof =
   in
   { root; wall_ms; io; error = Profile.error prof }
 
-let analyze ?cold ?executor ctx plan =
+let analyze ?cold ctx plan =
   let cat = Exec_ctx.catalog ctx in
   let work_mem = Exec_ctx.work_mem ctx in
   let t0 = Unix.gettimeofday () in
-  match Executor.run_profiled_result ?cold ?executor ctx plan with
+  match Executor.run_profiled_result ?cold ctx plan with
   | Ok (rel, io, prof) ->
     let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
     (Ok rel, of_profile cat ~work_mem plan ~io ~wall_ms prof)

@@ -46,7 +46,6 @@ val q_pages : node -> float
 
 val analyze :
   ?cold:bool ->
-  ?executor:Executor.engine ->
   Exec_ctx.t ->
   Physical.t ->
   (Relation.t, exn) result * t

@@ -8,12 +8,7 @@ type t = {
 
 let default_rows = 1024
 
-let of_sub schema rows nrows =
-  if nrows < 0 || nrows > Array.length rows then
-    invalid_arg "Batch.of_sub: nrows out of range";
-  { schema; rows; lo = 0; nrows; sel = None }
-
-let of_rows schema rows = of_sub schema rows (Array.length rows)
+let of_rows schema rows = { schema; rows; lo = 0; nrows = Array.length rows; sel = None }
 
 (* Zero-copy, zero-allocation view of [rows.(lo) .. rows.(lo+len-1)]: the
    (shared, read-only) source array is referenced directly and the live
@@ -40,6 +35,9 @@ let iter f t =
     for i = 0 to Array.length s - 1 do
       f t.rows.(s.(i))
     done
+
+let get t i =
+  match t.sel with None -> t.rows.(t.lo + i) | Some s -> t.rows.(s.(i))
 
 let fold f init t =
   let acc = ref init in
@@ -73,7 +71,7 @@ let select p t =
    column [idx] compares [op] against the integer constant [k].  Skips the
    per-row closure tree and polymorphic compare of the generic [select];
    non-[Int] values (mixed-type data) fall back to the generic compare so
-   semantics — including type errors — match the row interpreter. *)
+   semantics — including type errors — match the generic [select]. *)
 let select_int_cmp ~op ~idx k t =
   let n = live t in
   let keep = Array.make n 0 in

@@ -24,10 +24,6 @@ val of_rows : Schema.t -> Tuple.t array -> t
 (** Batch over the whole array, all rows live.  The array is owned by the
     batch afterwards. *)
 
-val of_sub : Schema.t -> Tuple.t array -> int -> t
-(** [of_sub schema rows n]: batch over the first [n] rows.
-    @raise Invalid_argument if [n] is out of range. *)
-
 val of_segment : Schema.t -> Tuple.t array -> lo:int -> len:int -> t
 (** Zero-copy batch over [rows.(lo) .. rows.(lo+len-1)] of a shared,
     read-only array — e.g. a heap file's backing store.  No allocation
@@ -44,6 +40,9 @@ val is_empty : t -> bool
 
 val iter : (Tuple.t -> unit) -> t -> unit
 (** Apply to every live row in batch order. *)
+
+val get : t -> int -> Tuple.t
+(** [get t i]: the [i]-th live row, [0 <= i < live t]. *)
 
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 

@@ -15,8 +15,6 @@ let once close =
       close ()
     end
 
-let guard t = { t with close = once t.close }
-
 let empty schema =
   { schema; next_batch = (fun () -> None); close = (fun () -> ()) }
 
@@ -46,46 +44,23 @@ let of_rows schema rows =
   in
   { schema; next_batch; close = (fun () -> pos := n) }
 
-let of_iter ?(batch_rows = Batch.default_rows) (it : Iter.t) =
-  let close = once it.Iter.close in
-  let buf = Array.make batch_rows [||] in
+(* One page per batch, zero-copy: each batch is a view of the heap's backing
+   row array (see the ownership rule in batch.mli).  A page is read when its
+   batch is pulled — exactly when a row-at-a-time scan would read it, at its
+   first row. *)
+let scan schema heap =
+  let npages = Heap_file.npages heap in
+  let next_page = ref 0 in
   let next_batch () =
-    let n = ref 0 in
-    let rec fill () =
-      if !n < batch_rows then
-        match it.Iter.next () with
-        | None -> ()
-        | Some tup ->
-          buf.(!n) <- tup;
-          incr n;
-          fill ()
-    in
-    fill ();
-    if !n = 0 then None
-    else
-      (* Copy out: [buf] is reused across batches. *)
-      Some (Batch.of_rows it.Iter.schema (Array.sub buf 0 !n))
-  in
-  { schema = it.Iter.schema; next_batch; close }
-
-let to_iter t =
-  let current = ref [||] in
-  let pos = ref 0 in
-  let rec next () =
-    if !pos < Array.length !current then begin
-      let tup = (!current).(!pos) in
-      incr pos;
-      Some tup
+    if !next_page >= npages then None
+    else begin
+      let p = !next_page in
+      let rows, lo, len = Heap_file.scan_segment heap ~page:p ~npages:1 in
+      next_page := p + 1;
+      Some (Batch.of_segment schema rows ~lo ~len)
     end
-    else
-      match t.next_batch () with
-      | None -> None
-      | Some b ->
-        current := Batch.to_rows b;
-        pos := 0;
-        next ()
   in
-  { Iter.schema = t.schema; next; close = t.close }
+  { schema; next_batch; close = (fun () -> next_page := npages) }
 
 let iter f t =
   let rec loop () =
@@ -108,3 +83,68 @@ let to_list t =
   List.rev !acc
 
 let to_relation t = Relation.create t.schema (to_list t)
+
+(* ---- lockstep operators ---- *)
+
+type cursor = {
+  src : t;
+  mutable cur : Batch.t option;
+  mutable pos : int;
+  mutable eof : bool;
+}
+
+let cursor src = { src; cur = None; pos = 0; eof = false }
+
+let at_boundary c =
+  (not c.eof)
+  && match c.cur with None -> true | Some b -> c.pos >= Batch.live b
+
+let rec advance c =
+  match c.cur with
+  | Some b when c.pos < Batch.live b ->
+    c.pos <- c.pos + 1;
+    Some (Batch.get b (c.pos - 1))
+  | _ ->
+    if c.eof then None
+    else (
+      match c.src.next_batch () with
+      | None ->
+        c.eof <- true;
+        c.cur <- None;
+        None
+      | Some b ->
+        c.cur <- Some b;
+        c.pos <- 0;
+        advance c)
+
+type out = { mutable rows : Tuple.t list; mutable n : int }
+
+exception Yield
+
+let emit o tup =
+  o.rows <- tup :: o.rows;
+  o.n <- o.n + 1
+
+let touch o = if o.n > 0 then raise Yield
+let pull o c = if o.n > 0 && at_boundary c then raise Yield else advance c
+
+let lockstep schema ~step ~close =
+  let o = { rows = []; n = 0 } in
+  let finished = ref false in
+  let next_batch () =
+    o.rows <- [];
+    o.n <- 0;
+    (try
+       while (not !finished) && o.n < Batch.default_rows do
+         if not (step o) then finished := true
+       done
+     with Yield -> ());
+    if o.n = 0 then None
+    else begin
+      let arr = Array.make o.n [||] in
+      List.iteri (fun i t -> arr.(o.n - 1 - i) <- t) o.rows;
+      o.rows <- [];
+      Some (Batch.of_rows schema arr)
+    end
+  in
+  { schema; next_batch; close }

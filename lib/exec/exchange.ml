@@ -2,8 +2,8 @@
 
    A parallel segment is driven by page-range morsels claimed from a shared
    atomic cursor: morsel [m] covers pages [m*ppb, (m+1)*ppb) of the driving
-   heap scan, the same page ranges (and therefore the same batches) the
-   serial [Executor.scan_batches] produces.  [dop] worker domains each fork
+   heap scan, so the morsels in index order hold the serial scan's rows in
+   the serial order.  [dop] worker domains each fork
    the statement context, claim morsels until the cursor runs dry, and hand
    their output to the consuming domain through a bounded MPMC queue.  The
    consumer resequences morsels back into cursor order, so a parallel plan's

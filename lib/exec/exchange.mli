@@ -3,9 +3,9 @@
     operators.
 
     The morsel unit is one batch worth of heap pages (1024 rows); workers
-    claim morsel indices from a shared atomic cursor, so the parallel scan
-    covers exactly the page ranges — and produces exactly the batches — of
-    the serial [Executor.scan_batches].  The streaming consumer ({!gather})
+    claim morsel indices from a shared atomic cursor; the morsels in index
+    order hold exactly the serial scan's rows, in the serial order (the
+    serial scan cuts the same pages one per batch).  The streaming consumer ({!gather})
     resequences morsels back into cursor order, which makes parallel plan
     output byte-identical to the serial plan's; {!fold} is the blocking
     variant used for parallel partial aggregation.

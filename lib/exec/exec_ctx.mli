@@ -40,8 +40,8 @@ val live_temps : t -> int
 
 val profiler : t -> Profile.t option
 val set_profiler : t -> Profile.t option -> unit
-(** Per-operator counter sink; when set, {!Executor.open_iter} and
-    [Executor.open_batch] register and wrap every operator they open. *)
+(** Per-operator counter sink; when set, [Executor.open_batch] registers
+    and wraps every operator it opens. *)
 
 (** {2 Statement limits}
 

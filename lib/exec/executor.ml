@@ -22,10 +22,10 @@ module Value_key = struct
     | v -> Value.hash v
 end
 
-(* Value-keyed table for the vectorized single-key group path. *)
+(* Value-keyed table for single-column group keys. *)
 module VH = Hashtbl.Make (Value_key)
 
-type engine = [ `Row | `Batch ]
+type engine = [ `Batch ]
 
 let compile_preds schema preds =
   match Expr.conjoin preds with
@@ -43,8 +43,8 @@ let swap_cmp = function
 (* Batch filter compiler: one selection kernel per conjunct.  The common
    post-pushdown shape [col <cmp> int-const] gets the vectorized primitive
    ({!Batch.select_int_cmp}); anything else runs the generic compiled
-   predicate per live row.  Conjuncts are applied in order, matching the
-   row path's short-circuiting [And] semantics. *)
+   predicate per live row.  Conjuncts are applied in order, matching
+   [Expr]'s short-circuiting [And] semantics. *)
 let compile_batch_preds schema preds : (Batch.t -> Batch.t) list =
   List.concat_map Expr.conjuncts preds
   |> List.map (fun p ->
@@ -73,28 +73,28 @@ let compare_keys a b =
   in
   loop 0
 
-(* Argument extractors for a list of aggregates against an input schema. *)
-let agg_arg_fns schema aggs =
-  List.map
-    (fun (a : Aggregate.t) ->
-      match a.Aggregate.arg with
-      | None -> fun _ -> None
-      | Some e ->
-        let f = Expr.compile schema e in
-        fun tup -> Some (f tup))
-    aggs
+(* ---- the group-by kernel ----
 
-let init_states aggs = List.map (fun (a : Aggregate.t) -> Aggregate.init a.Aggregate.func) aggs
+   One accumulator implementation serves serial hash grouping, parallel
+   partial aggregation and sort grouping.  A group's cell is a plain
+   [int array] while every aggregate is an int COUNT/SUM (the hot loop
+   allocates nothing); a row that does not fit (a non-Int SUM argument,
+   which [Value.add] would promote to Float) upgrades just that group to
+   generic [Aggregate.state]s rebuilt from its accumulators, so results are
+   identical either way. *)
 
-(* Unboxed accumulation for the common all-int aggregate shapes —
-   COUNT star, COUNT(col) and SUM over an Int-typed column.  [int_agg_plan]
-   returns one kernel descriptor per aggregate when every aggregate in the
-   list qualifies, so the batch group operator can keep a plain [int array]
-   per group instead of stepping boxed [Aggregate.state]s. *)
 type int_agg = ICount | ISum of int  (* ISum carries the column index *)
 
-let int_agg_plan schema (aggs : Aggregate.t list) =
-  let one (a : Aggregate.t) =
+type cell = Fast of int array | Slow of Aggregate.state array
+
+type agg_spec = {
+  aggs : Aggregate.t array;
+  args : (Tuple.t -> Value.t option) array;
+  ia : int_agg array option;  (* [Some] when every aggregate is int COUNT/SUM *)
+}
+
+let agg_spec schema (aggs : Aggregate.t list) =
+  let int_agg (a : Aggregate.t) =
     match a.Aggregate.func, a.Aggregate.arg with
     | Aggregate.Count_star, None -> Some ICount
     | Aggregate.Count, Some (Expr.Col _) -> Some ICount
@@ -103,11 +103,20 @@ let int_agg_plan schema (aggs : Aggregate.t list) =
       Some (ISum (Expr.resolve_column schema c))
     | _ -> None
   in
-  let ks = List.filter_map one aggs in
-  if List.length ks = List.length aggs then Some (Array.of_list ks) else None
+  let ks = List.filter_map int_agg aggs in
+  let arg (a : Aggregate.t) =
+    match a.Aggregate.arg with
+    | None -> fun _ -> None
+    | Some e ->
+      let f = Expr.compile schema e in
+      fun tup -> Some (f tup)
+  in
+  {
+    aggs = Array.of_list aggs;
+    args = Array.of_list (List.map arg aggs);
+    ia = (if List.length ks = List.length aggs then Some (Array.of_list ks) else None);
+  }
 
-(* Loop-style variants of the fast-path kernels, shared with the parallel
-   partial-aggregation workers (closure-free on the per-row path). *)
 let int_row_fits ia tup =
   let n = Array.length ia in
   let rec go j =
@@ -130,21 +139,131 @@ let int_apply ia acc tup =
       | _ -> assert false)
   done
 
-let int_upgrade ia (aggs : Aggregate.t list) acc =
-  Array.of_list
-    (List.mapi
-       (fun j (_ : Aggregate.t) ->
-         match ia.(j) with
-         | ICount -> Aggregate.count_state acc.(j)
-         | ISum _ -> Aggregate.sum_state (Value.Int acc.(j)))
-       aggs)
+let slow_apply spec st tup =
+  for j = 0 to Array.length st - 1 do
+    Array.unsafe_set st j
+      (Aggregate.step (Array.unsafe_get st j) ((Array.unsafe_get spec.args j) tup))
+  done
 
-let step_states states fns tup =
-  List.map2 (fun st f -> Aggregate.step st (f tup)) states fns
+let states spec = function
+  | Slow st -> st
+  | Fast acc ->
+    let ia = Option.get spec.ia in
+    Array.mapi
+      (fun j x ->
+        match ia.(j) with
+        | ICount -> Aggregate.count_state x
+        | ISum _ -> Aggregate.sum_state (Value.Int x))
+      acc
 
-let finish_group key states = Tuple.concat key (Array.of_list (List.map Aggregate.finish states))
+let new_cell spec tup =
+  match spec.ia with
+  | Some ia when int_row_fits ia tup ->
+    let acc = Array.make (Array.length ia) 0 in
+    int_apply ia acc tup;
+    Fast acc
+  | _ ->
+    let st =
+      Array.map (fun (a : Aggregate.t) -> Aggregate.init a.Aggregate.func) spec.aggs
+    in
+    slow_apply spec st tup;
+    Slow st
 
-(* ---- hash-join building blocks shared by the row and batch paths ---- *)
+(* Fold one more row into a cell; returns the (possibly upgraded) cell. *)
+let step_cell spec cell tup =
+  match cell, spec.ia with
+  | Fast acc, Some ia when int_row_fits ia tup ->
+    int_apply ia acc tup;
+    cell
+  | Slow st, _ ->
+    slow_apply spec st tup;
+    cell
+  | Fast _, _ ->
+    let st = states spec cell in
+    slow_apply spec st tup;
+    Slow st
+
+(* Combine two partials of one group, [a] from earlier in the stream. *)
+let merge_cells spec a b =
+  match a, b with
+  | Fast x, Fast y -> Fast (Array.mapi (fun j v -> v + y.(j)) x)
+  | _ ->
+    let sa = states spec a and sb = states spec b in
+    Slow (Array.mapi (fun j s -> Aggregate.merge s sb.(j)) sa)
+
+let finish_cell key = function
+  | Fast acc -> Tuple.concat key (Array.map (fun x -> Value.Int x) acc)
+  | Slow st -> Tuple.concat key (Array.map Aggregate.finish st)
+
+(* A partial table remembers each group's first row as (morsel, position):
+   its rank in the serial stream.  Emitting groups by rank reproduces the
+   serial first-seen order whether the table was built by one scan or
+   merged from per-worker partials. *)
+type entry = { mutable cell : cell; m : int; pos : int }
+
+let rank_compare a b =
+  let c = Int.compare a.m b.m in
+  if c <> 0 then c else Int.compare a.pos b.pos
+
+module Partial (H : Hashtbl.S) = struct
+  let absorb spec tbl k ~m ~pos tup =
+    match H.find_opt tbl k with
+    | Some e -> e.cell <- step_cell spec e.cell tup
+    | None -> H.add tbl k { cell = new_cell spec tup; m; pos }
+
+  let merge spec ~into src =
+    H.iter
+      (fun k e ->
+        match H.find_opt into k with
+        | None -> H.replace into k e
+        | Some e0 ->
+          let a, b = if rank_compare e0 e <= 0 then (e0, e) else (e, e0) in
+          H.replace into k { cell = merge_cells spec a.cell b.cell; m = a.m; pos = a.pos })
+      src
+
+  let rows tbl key_tuple =
+    H.fold (fun k e acc -> (k, e) :: acc) tbl []
+    |> List.sort (fun (_, a) (_, b) -> rank_compare a b)
+    |> List.map (fun (k, e) -> finish_cell (key_tuple k) e.cell)
+    |> Array.of_list
+end
+
+module PV = Partial (VH)
+module PT = Partial (TH)
+
+module type GROUPS = sig
+  type t
+
+  val create : unit -> t
+  val absorb : t -> m:int -> pos:int -> Tuple.t -> unit
+  val merge : into:t -> t -> unit
+  val rows : t -> Tuple.t array
+end
+
+(* The kernel for one group-by: a single-column key is hashed as the value
+   itself (no per-row key tuple), anything else as the projected tuple. *)
+let groups spec key_idx : (module GROUPS) =
+  match key_idx with
+  | [| ki |] ->
+    (module struct
+      type t = entry VH.t
+
+      let create () = VH.create 256
+      let absorb t ~m ~pos tup = PV.absorb spec t (Array.unsafe_get tup ki) ~m ~pos tup
+      let merge ~into t = PV.merge spec ~into t
+      let rows t = PV.rows t (fun k -> [| k |])
+    end)
+  | _ ->
+    (module struct
+      type t = entry TH.t
+
+      let create () = TH.create 256
+      let absorb t ~m ~pos tup = PT.absorb spec t (Tuple.project_arr tup key_idx) ~m ~pos tup
+      let merge ~into t = PT.merge spec ~into t
+      let rows t = PT.rows t Fun.id
+    end)
+
+(* ---- hash-join building blocks ---- *)
 
 let build_hash_table build_keys build_rows =
   let table = TH.create 1024 in
@@ -160,6 +279,29 @@ let probe_hits table probe_keys pt =
   | None -> []
   | Some bts -> bts
 
+(* Probe a batch against a read-only table: one output batch per probe
+   batch with at least one match. *)
+let probe_batch out_schema ~lookup ~emit ~keep pb =
+  let out = ref [] in
+  let n = ref 0 in
+  Batch.iter
+    (fun pt ->
+      List.iter
+        (fun bt ->
+          let o = emit pt bt in
+          if keep o then begin
+            out := o :: !out;
+            incr n
+          end)
+        (lookup pt))
+    pb;
+  if !n = 0 then None
+  else begin
+    let arr = Array.make !n [||] in
+    List.iteri (fun i t -> arr.(!n - 1 - i) <- t) !out;
+    Some (Batch.of_rows out_schema arr)
+  end
+
 let grace_partitions ctx build_pages =
   let work_mem = Exec_ctx.work_mem ctx in
   min 64 (max 2 ((build_pages + work_mem - 2) / (work_mem - 1)))
@@ -169,28 +311,21 @@ let part_hash nparts keys_idx t =
 
 (* Join each spilled partition pair in memory; returns all result tuples in
    probe order within each partition (partitions in index order). *)
-let grace_join ctx ~nparts ~build_parts ~probe_parts ~build_schema ~build_keys
-    ~probe_keys ~keep ~emit =
+let grace_join ctx ~nparts ~build_parts ~probe_parts ~build_keys ~probe_keys
+    ~keep ~emit =
   let results = ref [] in
   for p = 0 to nparts - 1 do
-    let build_rows =
-      Iter.to_list (Iter.of_seq build_schema (Heap_file.to_seq build_parts.(p)))
+    let table =
+      build_hash_table build_keys (List.of_seq (Heap_file.to_seq build_parts.(p)))
     in
-    let table = build_hash_table build_keys build_rows in
-    let probe_seq = ref (Heap_file.to_seq probe_parts.(p)) in
-    let rec drain () =
-      match !probe_seq () with
-      | Seq.Nil -> ()
-      | Seq.Cons (pt, rest) ->
-        probe_seq := rest;
+    Seq.iter
+      (fun pt ->
         List.iter
           (fun bt ->
             let out = emit pt bt in
             if keep out then results := out :: !results)
-          (probe_hits table probe_keys pt);
-        drain ()
-    in
-    drain ()
+          (probe_hits table probe_keys pt))
+      (Heap_file.to_seq probe_parts.(p))
   done;
   Array.iter (fun h -> Exec_ctx.drop ctx h) build_parts;
   Array.iter (fun h -> Exec_ctx.drop ctx h) probe_parts;
@@ -199,22 +334,18 @@ let grace_join ctx ~nparts ~build_parts ~probe_parts ~build_schema ~build_keys
 (* Statement-limit polling (deadline / cancellation), applied to every
    operator a guarded statement opens.  Wrapping each node — not just the
    root — keeps pipeline breakers responsive: the scan feeding a big sort or
-   group polls while the breaker is still absorbing input.  The row path
-   amortizes the check over 128 rows; the batch path checks once per batch
-   (its natural boundary). *)
-let guard_iter ctx (it : Iter.t) =
-  let n = ref 0 in
-  let next () =
-    if !n land 127 = 0 then Exec_ctx.check ctx;
-    incr n;
-    it.Iter.next ()
-  in
-  { it with Iter.next }
-
+   group polls while the breaker is still absorbing input.  Polls are
+   amortized over about 128 rows, so one-row batches stay cheap. *)
 let guard_biter ctx (bit : Biter.t) =
+  let budget = ref 0 in
   let next_batch () =
-    Exec_ctx.check ctx;
-    bit.Biter.next_batch ()
+    if !budget <= 0 then begin
+      Exec_ctx.check ctx;
+      budget := 128
+    end;
+    let r = bit.Biter.next_batch () in
+    (match r with Some b -> budget := !budget - max 1 (Batch.live b) | None -> ());
+    r
   in
   { bit with Biter.next_batch }
 
@@ -245,20 +376,23 @@ let profiled_open ctx prof plan raw_open =
     Profile.leave prof;
     raise e
 
-(* Attribute page IO incurred during each pull to a profile node (inclusive
-   of the subtree, like [Profile.wrap_biter]'s wall time). *)
-let io_biter ctx (node : Profile.node) (bit : Biter.t) =
-  let st = Exec_ctx.storage ctx in
-  let next_batch () =
-    let before = Storage.io_snapshot st in
-    let r = bit.Biter.next_batch () in
-    let io = Storage.io_since st before in
-    node.Profile.reads <- node.Profile.reads + io.Buffer_pool.reads;
-    node.Profile.writes <- node.Profile.writes + io.Buffer_pool.writes;
-    node.Profile.hits <- node.Profile.hits + io.Buffer_pool.hits;
-    r
+let batch_filter kernels (bit : Biter.t) : Biter.t =
+  let rec next_batch () =
+    match bit.Biter.next_batch () with
+    | None -> None
+    | Some b ->
+      let b = List.fold_left (fun b k -> k b) b kernels in
+      if Batch.is_empty b then next_batch () else Some b
   in
   { bit with Biter.next_batch }
+
+let with_filter schema preds bit =
+  if preds = [] then bit else batch_filter (compile_batch_preds schema preds) bit
+
+let index_exn tbl ~table ~column =
+  match Catalog.index_on tbl column with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Executor: no index on %s.%s" table column)
 
 (* ---- exchange segment compilation ----
 
@@ -278,15 +412,22 @@ type segment = {
 
 exception Unsupported_segment
 
-(* Serial and parallel scans must agree on morsel boundaries: morsel [m]
-   covers pages [m*ppb, (m+1)*ppb), exactly the page ranges
-   [scan_batches] walks. *)
+(* Morsel [m] covers pages [m*ppb, (m+1)*ppb): one batch worth of rows.
+   Resequenced in morsel order, the morsels yield the serial scan's rows in
+   the serial order. *)
 let morsel_geometry heap =
   let npages = Heap_file.npages heap in
   let cap = Heap_file.page_capacity heap in
   let ppb = max 1 (Batch.default_rows / cap) in
   let n_morsels = if npages = 0 then 0 else ((npages + ppb - 1) / ppb) in
-  (npages, ppb, n_morsels)
+  let scan seg m =
+    let p0 = m * ppb in
+    let rows, lo, len =
+      Heap_file.scan_segment seg.seg_heap ~page:p0 ~npages:(min ppb (npages - p0))
+    in
+    seg.seg_fn (Batch.of_segment seg.seg_scan_schema rows ~lo ~len)
+  in
+  (n_morsels, scan)
 
 (* Pre-register [worker-<i>] profile nodes under the node currently being
    opened (the exchange), returning the callback that fills them with the
@@ -317,510 +458,40 @@ let worker_profile_nodes ctx ~dop =
             end)
           stats)
 
-let rec open_iter ctx plan : Iter.t =
-  let it =
+let rec open_batch ctx plan : Biter.t =
+  let bit =
     match Exec_ctx.profiler ctx with
-    | None -> open_iter_raw ctx plan
+    | None -> open_raw ctx plan
     | Some prof ->
-      let node, it = profiled_open ctx prof plan (fun () -> open_iter_raw ctx plan) in
-      Profile.wrap_iter node it
+      let node, bit = profiled_open ctx prof plan (fun () -> open_raw ctx plan) in
+      Profile.wrap_biter node (Exec_ctx.storage ctx) bit
   in
-  if Exec_ctx.guarded ctx then guard_iter ctx it else it
+  if Exec_ctx.guarded ctx then guard_biter ctx bit else bit
 
-and open_iter_raw ctx plan : Iter.t =
+and open_raw ctx plan : Biter.t =
   let cat = Exec_ctx.catalog ctx in
   match plan with
   | Physical.Seq_scan s ->
     let tbl = Catalog.table_exn cat s.table in
     let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
-    let it = Iter.of_seq schema (Heap_file.to_seq tbl.Catalog.heap) in
-    if s.filter = [] then it else Iter.filter (compile_preds schema s.filter) it
+    with_filter schema s.filter (Biter.scan schema tbl.Catalog.heap)
   | Physical.Index_scan s ->
     let tbl = Catalog.table_exn cat s.table in
-    let idx =
-      match Catalog.index_on tbl s.column with
-      | Some i -> i
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Executor: no index on %s.%s" s.table s.column)
-    in
-    let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
-    let rids = Btree.search_range idx ?lo:s.lo ?hi:s.hi () in
-    let fetch rid = Heap_file.get tbl.Catalog.heap rid in
-    let it = Iter.of_seq schema (Seq.map fetch (List.to_seq rids)) in
-    if s.filter = [] then it else Iter.filter (compile_preds schema s.filter) it
-  | Physical.Filter f ->
-    let it = open_iter ctx f.input in
-    Iter.filter (compile_preds it.Iter.schema f.pred) it
-  | Physical.Project p ->
-    let it = open_iter ctx p.input in
-    let fns = List.map (fun (e, _) -> Expr.compile it.Iter.schema e) p.cols in
-    let out_schema = Schema.of_columns (List.map snd p.cols) in
-    Iter.map out_schema
-      (fun tup -> Array.of_list (List.map (fun f -> f tup) fns))
-      it
-  | Physical.Materialize m ->
-    let it = open_iter ctx m.input in
-    let heap = Exec_ctx.temp ctx it.Iter.schema in
-    Iter.iter (fun t -> ignore (Heap_file.append heap t)) it;
-    let out = Iter.of_seq it.Iter.schema (Heap_file.to_seq heap) in
-    { out with Iter.close = (fun () -> out.Iter.close (); Exec_ctx.drop ctx heap) }
-  | Physical.Sort s ->
-    let it = open_iter ctx s.input in
-    Xsort.sort ctx
-      ~compare:(Xsort.by_columns_dir it.Iter.schema s.cols ~desc:s.desc)
-      it
-  | Physical.Limit l ->
-    let it = open_iter ctx l.input in
-    let remaining = ref l.count in
-    let closed = ref false in
-    (* Close the input as soon as the count is exhausted so scans under the
-       Limit release temp heaps promptly; idempotent for the later close. *)
-    let close_input () =
-      if not !closed then begin
-        closed := true;
-        it.Iter.close ()
-      end
-    in
-    let next () =
-      if !remaining <= 0 then begin
-        close_input ();
-        None
-      end
-      else
-        match it.Iter.next () with
-        | None ->
-          close_input ();
-          None
-        | Some t ->
-          decr remaining;
-          if !remaining = 0 then close_input ();
-          Some t
-    in
-    { Iter.schema = it.Iter.schema; next; close = close_input }
-  | Physical.Block_nl_join j -> bnl_join ctx j.left j.right j.cond
-  | Physical.Index_nl_join j ->
-    index_nl_join ctx ~left:j.left ~alias:j.alias ~table:j.table ~column:j.column
-      ~outer_key:j.outer_key ~cond:j.cond
-  | Physical.Hash_join j ->
-    hash_join ctx ~left:j.left ~right:j.right ~keys:j.keys ~cond:j.cond
-      ~build_side:j.build_side
-  | Physical.Merge_join j ->
-    merge_join ctx ~left:j.left ~right:j.right ~keys:j.keys ~cond:j.cond
-  | Physical.Hash_group g -> hash_group ctx g
-  | Physical.Sort_group g -> sort_group ctx g
-  (* The row engine stays serial: exchange/repartition are transparent
-     pass-throughs, so a parallel plan evaluated row-at-a-time produces the
-     same rows as its serial shape. *)
-  | Physical.Exchange e -> open_iter ctx e.input
-  | Physical.Repartition r -> open_iter ctx r.input
-
-(* Block nested-loop join: buffer (work_mem - 1) pages of outer tuples, then
-   rescan the inner once per block.  The inner must be rescannable; a
-   [Materialize] inner is spooled once and re-read per block. *)
-and bnl_join ctx left right cond =
-  let cat = Exec_ctx.catalog ctx in
-  let lit = open_iter ctx left in
-  let rschema = Physical.schema cat right in
-  let out_schema = Schema.append lit.Iter.schema rschema in
-  let keep = compile_preds out_schema cond in
-  let block_rows =
-    let cap = Page.capacity ~row_bytes:(Schema.byte_width lit.Iter.schema) in
-    max 1 ((Exec_ctx.work_mem ctx - 1) * cap)
-  in
-  (* Rescannable inner: spool a Materialize once; otherwise reopen the scan.
-     Reopens happen mid-next, when no profile parent is on the stack, so
-     profiling is suspended around them. *)
-  let spooled = ref None in
-  let extra_close = ref (fun () -> ()) in
-  let reopen_right () =
-    let saved = Exec_ctx.profiler ctx in
-    Exec_ctx.set_profiler ctx None;
-    let reopened =
-      match right with
-      | Physical.Materialize m -> (
-        match !spooled with
-        | Some heap -> Iter.of_seq rschema (Heap_file.to_seq heap)
-        | None ->
-          let it = open_iter ctx m.input in
-          let heap = Exec_ctx.temp ctx it.Iter.schema in
-          Iter.iter (fun t -> ignore (Heap_file.append heap t)) it;
-          spooled := Some heap;
-          (extra_close := fun () -> Exec_ctx.drop ctx heap);
-          Iter.of_seq rschema (Heap_file.to_seq heap))
-      | Physical.Seq_scan _ | Physical.Index_scan _ -> open_iter ctx right
-      | _ ->
-        Exec_ctx.set_profiler ctx saved;
-        invalid_arg
-          "Executor: BNL inner must be a scan or Materialize (planner bug)"
-    in
-    Exec_ctx.set_profiler ctx saved;
-    reopened
-  in
-  let block = ref [||] in
-  let bi = ref 0 in
-  let rit : Iter.t option ref = ref None in
-  let rtup = ref None in
-  let exhausted = ref false in
-  let load_block () =
-    let buf = ref [] and n = ref 0 in
-    let rec fill () =
-      if !n < block_rows then
-        match lit.Iter.next () with
-        | None -> ()
-        | Some t ->
-          buf := t :: !buf;
-          incr n;
-          fill ()
-    in
-    fill ();
-    Array.of_list (List.rev !buf)
-  in
-  let rec next () =
-    if !exhausted then None
-    else
-      match !rtup with
-      | Some rt ->
-        if !bi < Array.length !block then begin
-          let lt = (!block).(!bi) in
-          incr bi;
-          let out = Tuple.concat lt rt in
-          if keep out then Some out else next ()
-        end
-        else begin
-          bi := 0;
-          rtup := (match !rit with Some it -> it.Iter.next () | None -> None);
-          next ()
-        end
-      | None -> (
-        (* Inner exhausted (or not started) for the current block. *)
-        (match !rit with
-         | Some it ->
-           it.Iter.close ();
-           rit := None
-         | None -> ());
-        block := load_block ();
-        if Array.length !block = 0 then begin
-          exhausted := true;
-          None
-        end
-        else begin
-          let it = reopen_right () in
-          rit := Some it;
-          rtup := it.Iter.next ();
-          bi := 0;
-          next ()
-        end)
-  in
-  let close () =
-    lit.Iter.close ();
-    (match !rit with Some it -> it.Iter.close () | None -> ());
-    !extra_close ()
-  in
-  { Iter.schema = out_schema; next; close }
-
-and index_nl_join ctx ~left ~alias ~table ~column ~outer_key ~cond =
-  let cat = Exec_ctx.catalog ctx in
-  let lit = open_iter ctx left in
-  let tbl = Catalog.table_exn cat table in
-  let idx =
-    match Catalog.index_on tbl column with
-    | Some i -> i
-    | None ->
-      invalid_arg (Printf.sprintf "Executor: no index on %s.%s" table column)
-  in
-  let rschema = Schema.rename_qualifier tbl.Catalog.tschema alias in
-  let out_schema = Schema.append lit.Iter.schema rschema in
-  let keep = compile_preds out_schema cond in
-  let key_idx = Expr.resolve_column lit.Iter.schema outer_key in
-  let expand lt =
-    let rids = Btree.search_eq idx (Tuple.get lt key_idx) in
-    List.filter_map
-      (fun rid ->
-        let out = Tuple.concat lt (Heap_file.get tbl.Catalog.heap rid) in
-        if keep out then Some out else None)
-      rids
-  in
-  Iter.concat_map_tuples out_schema expand lit
-
-and hash_join ctx ~left ~right ~keys ~cond ~build_side =
-  let lit = open_iter ctx left in
-  let rit = open_iter ctx right in
-  let out_schema = Schema.append lit.Iter.schema rit.Iter.schema in
-  let keep = compile_preds out_schema cond in
-  let lkeys = resolve_all lit.Iter.schema (List.map fst keys) in
-  let rkeys = resolve_all rit.Iter.schema (List.map snd keys) in
-  let build_it, probe_it, build_keys, probe_keys, emit =
-    match build_side with
-    | `Right -> (rit, lit, rkeys, lkeys, fun probe build -> Tuple.concat probe build)
-    | `Left -> (lit, rit, lkeys, rkeys, fun probe build -> Tuple.concat build probe)
-  in
-  let build_rows = Iter.to_list build_it in
-  let build_schema = build_it.Iter.schema in
-  let build_pages =
-    Page.pages_for ~rows:(List.length build_rows)
-      ~row_bytes:(Schema.byte_width build_schema)
-  in
-  if build_pages <= Exec_ctx.work_mem ctx then begin
-    (* In-memory build; stream the probe side. *)
-    let table = build_hash_table build_keys build_rows in
-    let pending = ref [] in
-    let rec next () =
-      match !pending with
-      | x :: rest ->
-        pending := rest;
-        Some x
-      | [] -> (
-        match probe_it.Iter.next () with
-        | None -> None
-        | Some pt ->
-          pending :=
-            List.filter_map
-              (fun bt ->
-                let out = emit pt bt in
-                if keep out then Some out else None)
-              (probe_hits table probe_keys pt);
-          next ())
-    in
-    { Iter.schema = out_schema; next; close = probe_it.Iter.close }
-  end
-  else begin
-    (* Grace hash join: partition both sides to temp files, then join each
-       partition pair in memory. *)
-    let nparts = grace_partitions ctx build_pages in
-    let build_parts =
-      Array.init nparts (fun _ -> Exec_ctx.temp ctx build_schema)
-    in
-    List.iter
-      (fun bt ->
-        ignore (Heap_file.append build_parts.(part_hash nparts build_keys bt) bt))
-      build_rows;
-    let probe_schema = probe_it.Iter.schema in
-    let probe_parts =
-      Array.init nparts (fun _ -> Exec_ctx.temp ctx probe_schema)
-    in
-    Iter.iter
-      (fun pt ->
-        ignore (Heap_file.append probe_parts.(part_hash nparts probe_keys pt) pt))
-      probe_it;
-    let results =
-      grace_join ctx ~nparts ~build_parts ~probe_parts ~build_schema
-        ~build_keys ~probe_keys ~keep ~emit
-    in
-    Iter.of_list out_schema results
-  end
-
-and merge_join ctx ~left ~right ~keys ~cond =
-  let lit = open_iter ctx left in
-  let rit = open_iter ctx right in
-  let out_schema = Schema.append lit.Iter.schema rit.Iter.schema in
-  let keep = compile_preds out_schema cond in
-  let lidx = resolve_all lit.Iter.schema (List.map fst keys) in
-  let ridx = resolve_all rit.Iter.schema (List.map snd keys) in
-  let lt = ref (lit.Iter.next ()) in
-  let rt = ref (rit.Iter.next ()) in
-  let group : (Tuple.t * Tuple.t list) option ref = ref None in
-  let pending = ref [] in
-  let collect_group rk =
-    (* Gather all right tuples whose key equals rk; assumes !rt has key rk. *)
-    let acc = ref [] in
-    let rec loop () =
-      match !rt with
-      | Some r when compare_keys (Tuple.project_arr r ridx) rk = 0 ->
-        acc := r :: !acc;
-        rt := rit.Iter.next ();
-        loop ()
-      | _ -> ()
-    in
-    loop ();
-    group := Some (rk, List.rev !acc)
-  in
-  let rec next () =
-    match !pending with
-    | x :: rest ->
-      pending := rest;
-      Some x
-    | [] -> (
-      match !lt with
-      | None -> None
-      | Some l -> (
-        let lk = Tuple.project_arr l lidx in
-        match !group with
-        | Some (gk, gts) when compare_keys lk gk = 0 ->
-          pending :=
-            List.filter_map
-              (fun r ->
-                let out = Tuple.concat l r in
-                if keep out then Some out else None)
-              gts;
-          lt := lit.Iter.next ();
-          next ()
-        | _ -> (
-          match !rt with
-          | None -> None
-          | Some r ->
-            let rk = Tuple.project_arr r ridx in
-            let c = compare_keys lk rk in
-            if c < 0 then begin
-              lt := lit.Iter.next ();
-              next ()
-            end
-            else if c > 0 then begin
-              rt := rit.Iter.next ();
-              next ()
-            end
-            else begin
-              collect_group rk;
-              next ()
-            end)))
-  in
-  let close () =
-    lit.Iter.close ();
-    rit.Iter.close ()
-  in
-  { Iter.schema = out_schema; next; close }
-
-and hash_group ctx (g : Physical.group) =
-  let cat = Exec_ctx.catalog ctx in
-  let it = open_iter ctx g.Physical.input in
-  let in_schema = it.Iter.schema in
-  let out_schema = Physical.schema cat (Physical.Hash_group g) in
-  let key_idx = resolve_all in_schema g.Physical.keys in
-  let fns = agg_arg_fns in_schema g.Physical.aggs in
-  let table = TH.create 256 in
-  let order = ref [] in
-  Iter.iter
-    (fun tup ->
-      let k = Tuple.project_arr tup key_idx in
-      let states =
-        match TH.find_opt table k with
-        | Some s -> s
-        | None ->
-          order := k :: !order;
-          init_states g.Physical.aggs
-      in
-      TH.replace table k (step_states states fns tup))
-    it;
-  let rows = List.rev_map (fun k -> finish_group k (TH.find table k)) !order in
-  let result = Iter.of_list out_schema rows in
-  if g.Physical.having = [] then result
-  else Iter.filter (compile_preds out_schema g.Physical.having) result
-
-and sort_group ctx (g : Physical.group) =
-  let cat = Exec_ctx.catalog ctx in
-  let it = open_iter ctx g.Physical.input in
-  let in_schema = it.Iter.schema in
-  let out_schema = Physical.schema cat (Physical.Sort_group g) in
-  let key_idx = resolve_all in_schema g.Physical.keys in
-  let fns = agg_arg_fns in_schema g.Physical.aggs in
-  let current = ref None in
-  let finished = ref false in
-  let rec next () =
-    if !finished then None
-    else
-      match it.Iter.next () with
-      | None ->
-        finished := true;
-        (match !current with
-         | None -> None
-         | Some (k, states) -> Some (finish_group k states))
-      | Some tup -> (
-        let k = Tuple.project_arr tup key_idx in
-        match !current with
-        | None ->
-          current := Some (k, step_states (init_states g.Physical.aggs) fns tup);
-          next ()
-        | Some (gk, states) ->
-          if compare_keys k gk = 0 then begin
-            current := Some (gk, step_states states fns tup);
-            next ()
-          end
-          else begin
-            current := Some (k, step_states (init_states g.Physical.aggs) fns tup);
-            Some (finish_group gk states)
-          end)
-  in
-  let result = { Iter.schema = out_schema; next; close = it.Iter.close } in
-  if g.Physical.having = [] then result
-  else Iter.filter (compile_preds out_schema g.Physical.having) result
-
-(* ==== batch-at-a-time path ==== *)
-
-and open_batch ctx plan : Biter.t =
-  match plan with
-  | Physical.Block_nl_join _ | Physical.Index_nl_join _ | Physical.Merge_join _
-  | Physical.Sort_group _ -> (
-    (* Row-at-a-time fallback through the adapter; these operators consume
-       their inputs with interleaving the batch path cannot reproduce
-       page-for-page, so the whole subtree runs on the row path.  The root
-       gets ONE profile node (not a batch node duplicating the row node),
-       timed and IO-attributed at batch granularity by the adapter wrap. *)
-    match Exec_ctx.profiler ctx with
-    | None ->
-      let bit = Biter.of_iter (open_iter ctx plan) in
-      if Exec_ctx.guarded ctx then guard_biter ctx bit else bit
-    | Some prof ->
-      let node, it =
-        profiled_open ctx prof plan (fun () -> open_iter_raw ctx plan)
-      in
-      let it = if Exec_ctx.guarded ctx then guard_iter ctx it else it in
-      let bit = io_biter ctx node (Profile.wrap_biter node (Biter.of_iter it)) in
-      if Exec_ctx.guarded ctx then guard_biter ctx bit else bit)
-  | _ ->
-    let bit =
-      match Exec_ctx.profiler ctx with
-      | None -> open_batch_raw ctx plan
-      | Some prof ->
-        let node, bit =
-          profiled_open ctx prof plan (fun () -> open_batch_raw ctx plan)
-        in
-        io_biter ctx node (Profile.wrap_biter node bit)
-    in
-    if Exec_ctx.guarded ctx then guard_biter ctx bit else bit
-
-and open_batch_raw ctx plan : Biter.t =
-  let cat = Exec_ctx.catalog ctx in
-  match plan with
-  | Physical.Seq_scan s ->
-    let tbl = Catalog.table_exn cat s.table in
-    let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
-    let bit = scan_batches schema tbl.Catalog.heap in
-    if s.filter = [] then bit
-    else batch_filter (compile_batch_preds schema s.filter) bit
-  | Physical.Index_scan s ->
-    let tbl = Catalog.table_exn cat s.table in
-    let idx =
-      match Catalog.index_on tbl s.column with
-      | Some i -> i
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Executor: no index on %s.%s" s.table s.column)
-    in
+    let idx = index_exn tbl ~table:s.table ~column:s.column in
     let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
     let rids = ref (Btree.search_range idx ?lo:s.lo ?hi:s.hi ()) in
-    (* Reused across batches; see the ownership rule in batch.mli. *)
-    let buf = Array.make Batch.default_rows [||] in
-    let next_batch () =
-      if !rids = [] then None
-      else begin
-        let n = ref 0 in
-        let rec fill () =
-          if !n < Batch.default_rows then
-            match !rids with
-            | [] -> ()
-            | rid :: rest ->
-              buf.(!n) <- Heap_file.get tbl.Catalog.heap rid;
-              incr n;
-              rids := rest;
-              fill ()
-        in
-        fill ();
-        Some (Batch.of_sub schema buf !n)
-      end
+    (* Every fetch touches a page, so each row is its own batch. *)
+    let step o =
+      match !rids with
+      | [] -> false
+      | rid :: rest ->
+        Biter.touch o;
+        rids := rest;
+        Biter.emit o (Heap_file.get tbl.Catalog.heap rid);
+        true
     in
-    let bit = { Biter.schema; next_batch; close = (fun () -> rids := []) } in
-    if s.filter = [] then bit
-    else batch_filter (compile_batch_preds schema s.filter) bit
+    with_filter schema s.filter
+      (Biter.lockstep schema ~step ~close:(fun () -> rids := []))
   | Physical.Filter f ->
     let bit = open_batch ctx f.input in
     batch_filter (compile_batch_preds bit.Biter.schema f.pred) bit
@@ -839,7 +510,7 @@ and open_batch_raw ctx plan : Biter.t =
     let bit = open_batch ctx m.input in
     let heap = Exec_ctx.temp ctx bit.Biter.schema in
     Biter.iter_rows (fun t -> ignore (Heap_file.append heap t)) bit;
-    let out = scan_batches bit.Biter.schema heap in
+    let out = Biter.scan bit.Biter.schema heap in
     {
       out with
       Biter.close =
@@ -849,14 +520,15 @@ and open_batch_raw ctx plan : Biter.t =
     }
   | Physical.Sort s ->
     let bit = open_batch ctx s.input in
-    Biter.of_iter
-      (Xsort.sort_batches ctx
-         ~compare:(Xsort.by_columns_dir bit.Biter.schema s.cols ~desc:s.desc)
-         bit)
+    Xsort.sort ctx
+      ~compare:(Xsort.by_columns ~desc:s.desc bit.Biter.schema s.cols)
+      bit
   | Physical.Limit l ->
     let bit = open_batch ctx l.input in
     let remaining = ref l.count in
     let closed = ref false in
+    (* Close the input as soon as the count is exhausted so scans under the
+       Limit release temp heaps promptly; idempotent for the later close. *)
     let close_input () =
       if not !closed then begin
         closed := true;
@@ -880,9 +552,15 @@ and open_batch_raw ctx plan : Biter.t =
           Some b
     in
     { Biter.schema = bit.Biter.schema; next_batch; close = close_input }
+  | Physical.Block_nl_join j -> bnl_join ctx j.left j.right j.cond
+  | Physical.Index_nl_join j ->
+    index_nl_join ctx ~left:j.left ~alias:j.alias ~table:j.table ~column:j.column
+      ~outer_key:j.outer_key ~cond:j.cond
   | Physical.Hash_join j ->
-    batch_hash_join ctx ~left:j.left ~right:j.right ~keys:j.keys ~cond:j.cond
+    hash_join ctx ~left:j.left ~right:j.right ~keys:j.keys ~cond:j.cond
       ~build_side:j.build_side
+  | Physical.Merge_join j ->
+    merge_join ctx ~left:j.left ~right:j.right ~keys:j.keys ~cond:j.cond
   | Physical.Hash_group g -> (
     (* Parallel partial aggregation: when the group sits on an exchange
        whose segment the workers can run, fuse scan + partials into the
@@ -894,51 +572,123 @@ and open_batch_raw ctx plan : Biter.t =
            && Exchange.segment_ok e.input -> (
       match open_parallel_group ctx g ~dop:e.dop e.input with
       | bit -> bit
-      | exception Unsupported_segment -> batch_hash_group ctx g)
-    | _ -> batch_hash_group ctx g)
+      | exception Unsupported_segment -> hash_group ctx g)
+    | _ -> hash_group ctx g)
+  | Physical.Sort_group g -> sort_group ctx g
   | Physical.Exchange e -> open_exchange ctx ~dop:e.dop e.input
   | Physical.Repartition r ->
     (* Only meaningful as a build-side marker inside an exchange segment;
        anywhere else it is a transparent pass-through. *)
     open_batch ctx r.input
-  | Physical.Block_nl_join _ | Physical.Index_nl_join _ | Physical.Merge_join _
-  | Physical.Sort_group _ ->
-    (* Row-at-a-time fallback through the adapter; these operators consume
-       their inputs with interleaving the batch path cannot reproduce
-       page-for-page, so the whole subtree runs on the row path. *)
-    Biter.of_iter (open_iter ctx plan)
 
-(* Batches straight off heap pages: one buffer-pool touch per page, whole
-   pages per batch, zero-copy — each batch is a view of the heap's backing
-   row array (see the ownership rule in batch.mli). *)
-and scan_batches schema heap : Biter.t =
-  let npages = Heap_file.npages heap in
-  let cap = Heap_file.page_capacity heap in
-  let pages_per_batch = max 1 (Batch.default_rows / cap) in
-  let next_page = ref 0 in
-  let next_batch () =
-    if !next_page >= npages then None
-    else begin
-      let p0 = !next_page in
-      let np = min pages_per_batch (npages - p0) in
-      let rows, lo, len = Heap_file.scan_segment heap ~page:p0 ~npages:np in
-      next_page := p0 + np;
-      Some (Batch.of_segment schema rows ~lo ~len)
-    end
+(* Block nested-loop join: buffer (work_mem - 1) pages of outer tuples, then
+   rescan the inner once per block.  The inner must be rescannable; a
+   [Materialize] inner is spooled once and re-read per block. *)
+and bnl_join ctx left right cond =
+  let cat = Exec_ctx.catalog ctx in
+  let lbit = open_batch ctx left in
+  let rschema = Physical.schema cat right in
+  let out_schema = Schema.append lbit.Biter.schema rschema in
+  let keep = compile_preds out_schema cond in
+  let block_rows =
+    let cap = Page.capacity ~row_bytes:(Schema.byte_width lbit.Biter.schema) in
+    max 1 ((Exec_ctx.work_mem ctx - 1) * cap)
   in
-  { Biter.schema; next_batch; close = (fun () -> next_page := npages) }
-
-and batch_filter kernels (bit : Biter.t) : Biter.t =
-  let rec next_batch () =
-    match bit.Biter.next_batch () with
-    | None -> None
-    | Some b ->
-      let b = List.fold_left (fun b k -> k b) b kernels in
-      if Batch.is_empty b then next_batch () else Some b
+  (* Rescannable inner: spool a Materialize once; otherwise reopen the scan.
+     Reopens happen mid-pull, when no profile parent is on the stack, so
+     profiling is suspended around them. *)
+  let spooled = ref None in
+  let reopen_right () =
+    let saved = Exec_ctx.profiler ctx in
+    Exec_ctx.set_profiler ctx None;
+    Fun.protect
+      ~finally:(fun () -> Exec_ctx.set_profiler ctx saved)
+      (fun () ->
+        match right with
+        | Physical.Materialize m -> (
+          match !spooled with
+          | Some heap -> Biter.scan rschema heap
+          | None ->
+            let bit = open_batch ctx m.input in
+            let heap = Exec_ctx.temp ctx bit.Biter.schema in
+            Biter.iter_rows (fun t -> ignore (Heap_file.append heap t)) bit;
+            spooled := Some heap;
+            Biter.scan rschema heap)
+        | Physical.Seq_scan _ | Physical.Index_scan _ -> open_batch ctx right
+        | _ ->
+          invalid_arg
+            "Executor: BNL inner must be a scan or Materialize (planner bug)")
   in
-  { bit with Biter.next_batch }
+  let outer = Biter.cursor lbit in
+  let block = ref [||] in
+  let inner = ref None in
+  let close_inner () =
+    Option.iter (fun (bit, _) -> bit.Biter.close ()) !inner;
+    inner := None
+  in
+  let join_row o rt =
+    Array.iter
+      (fun lt ->
+        let out = Tuple.concat lt rt in
+        if keep out then Biter.emit o out)
+      !block
+  in
+  (* Output is inner-major: each inner row against the whole block. *)
+  let step o =
+    match !inner with
+    | Some (_, ic) ->
+      (match Biter.pull o ic with Some rt -> join_row o rt | None -> close_inner ());
+      true
+    | None ->
+      Biter.touch o;
+      let rec fill acc n =
+        if n >= block_rows then acc
+        else match Biter.advance outer with None -> acc | Some t -> fill (t :: acc) (n + 1)
+      in
+      block := Array.of_list (List.rev (fill [] 0));
+      Array.length !block > 0
+      && begin
+        let bit = reopen_right () in
+        let ic = Biter.cursor bit in
+        inner := Some (bit, ic);
+        (match Biter.advance ic with Some rt -> join_row o rt | None -> close_inner ());
+        true
+      end
+  in
+  let close () =
+    lbit.Biter.close ();
+    close_inner ();
+    Option.iter (Exec_ctx.drop ctx) !spooled
+  in
+  Biter.lockstep out_schema ~step ~close
 
-and batch_hash_join ctx ~left ~right ~keys ~cond ~build_side : Biter.t =
+(* Index nested-loop join: one index probe (and its heap fetches) per outer
+   row.  The probe reads pages, so each outer row's matches form a batch. *)
+and index_nl_join ctx ~left ~alias ~table ~column ~outer_key ~cond =
+  let cat = Exec_ctx.catalog ctx in
+  let lbit = open_batch ctx left in
+  let tbl = Catalog.table_exn cat table in
+  let idx = index_exn tbl ~table ~column in
+  let rschema = Schema.rename_qualifier tbl.Catalog.tschema alias in
+  let out_schema = Schema.append lbit.Biter.schema rschema in
+  let keep = compile_preds out_schema cond in
+  let key_idx = Expr.resolve_column lbit.Biter.schema outer_key in
+  let outer = Biter.cursor lbit in
+  let step o =
+    Biter.touch o;
+    match Biter.advance outer with
+    | None -> false
+    | Some lt ->
+      List.iter
+        (fun rid ->
+          let out = Tuple.concat lt (Heap_file.get tbl.Catalog.heap rid) in
+          if keep out then Biter.emit o out)
+        (Btree.search_eq idx (Tuple.get lt key_idx));
+      true
+  in
+  Biter.lockstep out_schema ~step ~close:lbit.Biter.close
+
+and hash_join ctx ~left ~right ~keys ~cond ~build_side : Biter.t =
   let lbit = open_batch ctx left in
   let rbit = open_batch ctx right in
   let out_schema = Schema.append lbit.Biter.schema rbit.Biter.schema in
@@ -957,37 +707,22 @@ and batch_hash_join ctx ~left ~right ~keys ~cond ~build_side : Biter.t =
       ~row_bytes:(Schema.byte_width build_schema)
   in
   if build_pages <= Exec_ctx.work_mem ctx then begin
-    (* In-memory build; probe batch-at-a-time, emitting one output batch per
-       probe batch with at least one match. *)
+    (* In-memory build; stream the probe side. *)
     let table = build_hash_table build_keys build_rows in
+    let lookup = probe_hits table probe_keys in
     let rec next_batch () =
       match probe_bit.Biter.next_batch () with
       | None -> None
-      | Some pb ->
-        let out = ref [] in
-        let n = ref 0 in
-        Batch.iter
-          (fun pt ->
-            List.iter
-              (fun bt ->
-                let o = emit pt bt in
-                if keep o then begin
-                  out := o :: !out;
-                  incr n
-                end)
-              (probe_hits table probe_keys pt))
-          pb;
-        if !n = 0 then next_batch ()
-        else begin
-          let arr = Array.make !n [||] in
-          List.iteri (fun i t -> arr.(!n - 1 - i) <- t) !out;
-          Some (Batch.of_rows out_schema arr)
-        end
+      | Some pb -> (
+        match probe_batch out_schema ~lookup ~emit ~keep pb with
+        | None -> next_batch ()
+        | r -> r)
     in
     { Biter.schema = out_schema; next_batch; close = probe_bit.Biter.close }
   end
   else begin
-    (* Grace hash join, identical partitioning and IO to the row path. *)
+    (* Grace hash join: partition both sides to temp files, then join each
+       partition pair in memory. *)
     let nparts = grace_partitions ctx build_pages in
     let build_parts =
       Array.init nparts (fun _ -> Exec_ctx.temp ctx build_schema)
@@ -1005,156 +740,120 @@ and batch_hash_join ctx ~left ~right ~keys ~cond ~build_side : Biter.t =
         ignore (Heap_file.append probe_parts.(part_hash nparts probe_keys pt) pt))
       probe_bit;
     let results =
-      grace_join ctx ~nparts ~build_parts ~probe_parts ~build_schema
-        ~build_keys ~probe_keys ~keep ~emit
+      grace_join ctx ~nparts ~build_parts ~probe_parts ~build_keys ~probe_keys
+        ~keep ~emit
     in
     Biter.of_rows out_schema (Array.of_list results)
   end
 
-and batch_hash_group ctx (g : Physical.group) : Biter.t =
+(* Merge join over inputs sorted on the join keys: a row-level merge in
+   lockstep over both inputs.  Each step pulls at most one row, and the
+   next left row is pulled before the current one's matches are emitted. *)
+and merge_join ctx ~left ~right ~keys ~cond =
+  let lbit = open_batch ctx left in
+  let rbit = open_batch ctx right in
+  let out_schema = Schema.append lbit.Biter.schema rbit.Biter.schema in
+  let keep = compile_preds out_schema cond in
+  let lidx = resolve_all lbit.Biter.schema (List.map fst keys) in
+  let ridx = resolve_all rbit.Biter.schema (List.map snd keys) in
+  let lc = Biter.cursor lbit and rc = Biter.cursor rbit in
+  let lt = ref (Biter.advance lc) in
+  let rt = ref (Biter.advance rc) in
+  (* The right rows of the last key seen on both sides. *)
+  let group = ref None in
+  (* Right rows (reversed) of a key still being gathered. *)
+  let collecting = ref None in
+  let step o =
+    match !collecting with
+    | Some (rk, acc) ->
+      let r = Biter.pull o rc in
+      rt := r;
+      (match r with
+       | Some r when compare_keys (Tuple.project_arr r ridx) rk = 0 ->
+         collecting := Some (rk, r :: acc)
+       | _ ->
+         group := Some (rk, List.rev acc);
+         collecting := None);
+      true
+    | None -> (
+      match !lt with
+      | None -> false
+      | Some l -> (
+        let lk = Tuple.project_arr l lidx in
+        match !group with
+        | Some (gk, gts) when compare_keys lk gk = 0 ->
+          lt := Biter.pull o lc;
+          List.iter
+            (fun r ->
+              let out = Tuple.concat l r in
+              if keep out then Biter.emit o out)
+            gts;
+          true
+        | _ -> (
+          match !rt with
+          | None -> false
+          | Some r ->
+            let rk = Tuple.project_arr r ridx in
+            let c = compare_keys lk rk in
+            if c < 0 then lt := Biter.pull o lc
+            else if c > 0 then rt := Biter.pull o rc
+            else collecting := Some (rk, [ r ]);
+            true)))
+  in
+  let close () =
+    lbit.Biter.close ();
+    rbit.Biter.close ()
+  in
+  Biter.lockstep out_schema ~step ~close
+
+and hash_group ctx (g : Physical.group) : Biter.t =
   let cat = Exec_ctx.catalog ctx in
   let bit = open_batch ctx g.Physical.input in
   let in_schema = bit.Biter.schema in
   let out_schema = Physical.schema cat (Physical.Hash_group g) in
-  let key_idx = resolve_all in_schema g.Physical.keys in
-  let fns = agg_arg_fns in_schema g.Physical.aggs in
-  let rows =
-    match key_idx with
-    | [| ki |] ->
-      (* Vectorized single-key grouping: hash the key value itself (no
-         per-row key-tuple allocation) and mutate each group's cells in
-         place — one table probe per row instead of find + replace.
-         Grouping semantics ([Value.compare]-based equality) and first-seen
-         output order match the generic path exactly. *)
-      let order = ref [] in
-      let fns_arr = Array.of_list fns in
-      let naggs = Array.length fns_arr in
-      let step_gen st tup =
-        for j = 0 to naggs - 1 do
-          Array.unsafe_set st j
-            (Aggregate.step (Array.unsafe_get st j)
-               ((Array.unsafe_get fns_arr j) tup))
-        done
-      in
-      (match int_agg_plan in_schema g.Physical.aggs with
-       | Some ia ->
-         (* All aggregates are int COUNT/SUM: a group's cell is a plain
-            [int array] — the hot loop allocates nothing.  A non-Int SUM
-            argument (mis-typed data; [Value.add] would promote the sum to
-            Float) upgrades just that group to generic states rebuilt from
-            its accumulators, so results stay identical either way. *)
-         let table = VH.create 256 in
-         let row_fits tup =
-           let ok = ref true in
-           for j = 0 to naggs - 1 do
-             match Array.unsafe_get ia j with
-             | ICount -> ()
-             | ISum idx -> (
-               match Array.unsafe_get tup idx with
-               | Value.Int _ -> ()
-               | _ -> ok := false)
-           done;
-           !ok
-         in
-         let apply_int acc tup =
-           for j = 0 to naggs - 1 do
-             match Array.unsafe_get ia j with
-             | ICount ->
-               Array.unsafe_set acc j (Array.unsafe_get acc j + 1)
-             | ISum idx -> (
-               match Array.unsafe_get tup idx with
-               | Value.Int x ->
-                 Array.unsafe_set acc j (Array.unsafe_get acc j + x)
-               | _ -> assert false)
-           done
-         in
-         (* Rebuild generic states from a cell that absorbed >= 1 rows. *)
-         let upgrade acc =
-           Array.of_list
-             (List.mapi
-                (fun j (_ : Aggregate.t) ->
-                  match ia.(j) with
-                  | ICount -> Aggregate.count_state acc.(j)
-                  | ISum _ -> Aggregate.sum_state (Value.Int acc.(j)))
-                g.Physical.aggs)
-         in
-         Biter.iter_rows
-           (fun tup ->
-             let k = Array.unsafe_get tup ki in
-             match VH.find_opt table k with
-             | Some cell -> (
-               match !cell with
-               | `Fast acc ->
-                 if row_fits tup then apply_int acc tup
-                 else begin
-                   let st = upgrade acc in
-                   step_gen st tup;
-                   cell := `Slow st
-                 end
-               | `Slow st -> step_gen st tup)
-             | None ->
-               let cell =
-                 if row_fits tup then begin
-                   let acc = Array.make naggs 0 in
-                   apply_int acc tup;
-                   `Fast acc
-                 end
-                 else begin
-                   let st = Array.of_list (init_states g.Physical.aggs) in
-                   step_gen st tup;
-                   `Slow st
-                 end
-               in
-               VH.add table k (ref cell);
-               order := k :: !order)
-           bit;
-         List.rev_map
-           (fun k ->
-             match !(VH.find table k) with
-             | `Fast acc ->
-               Tuple.concat [| k |]
-                 (Array.init naggs (fun j -> Value.Int (Array.unsafe_get acc j)))
-             | `Slow st -> finish_group [| k |] (Array.to_list st))
-           !order
-       | None ->
-         let table = VH.create 256 in
-         Biter.iter_rows
-           (fun tup ->
-             let k = Array.unsafe_get tup ki in
-             let cell =
-               match VH.find_opt table k with
-               | Some c -> c
-               | None ->
-                 let c = Array.of_list (init_states g.Physical.aggs) in
-                 VH.add table k c;
-                 order := k :: !order;
-                 c
-             in
-             step_gen cell tup)
-           bit;
-         List.rev_map
-           (fun k -> finish_group [| k |] (Array.to_list (VH.find table k)))
-           !order)
-    | _ ->
-      let table = TH.create 256 in
-      let order = ref [] in
-      Biter.iter_rows
-        (fun tup ->
-          let k = Tuple.project_arr tup key_idx in
-          let states =
-            match TH.find_opt table k with
-            | Some s -> s
-            | None ->
-              order := k :: !order;
-              init_states g.Physical.aggs
-          in
-          TH.replace table k (step_states states fns tup))
-        bit;
-      List.rev_map (fun k -> finish_group k (TH.find table k)) !order
+  let (module G) =
+    groups (agg_spec in_schema g.Physical.aggs) (resolve_all in_schema g.Physical.keys)
   in
-  let result = Biter.of_rows out_schema (Array.of_list rows) in
-  if g.Physical.having = [] then result
-  else batch_filter (compile_batch_preds out_schema g.Physical.having) result
+  let t = G.create () in
+  let pos = ref 0 in
+  Biter.iter_rows
+    (fun tup ->
+      G.absorb t ~m:0 ~pos:!pos tup;
+      incr pos)
+    bit;
+  with_filter out_schema g.Physical.having (Biter.of_rows out_schema (G.rows t))
+
+(* Sort group: input sorted on the keys; a group is emitted when the first
+   row of the next one arrives. *)
+and sort_group ctx (g : Physical.group) =
+  let cat = Exec_ctx.catalog ctx in
+  let bit = open_batch ctx g.Physical.input in
+  let in_schema = bit.Biter.schema in
+  let out_schema = Physical.schema cat (Physical.Sort_group g) in
+  let key_idx = resolve_all in_schema g.Physical.keys in
+  let spec = agg_spec in_schema g.Physical.aggs in
+  let input = Biter.cursor bit in
+  let current = ref None in
+  let step o =
+    match Biter.pull o input, !current with
+    | None, cur ->
+      Option.iter (fun (k, cell) -> Biter.emit o (finish_cell k cell)) cur;
+      current := None;
+      false
+    | Some tup, Some (gk, cell) ->
+      let k = Tuple.project_arr tup key_idx in
+      if compare_keys k gk = 0 then current := Some (gk, step_cell spec cell tup)
+      else begin
+        Biter.emit o (finish_cell gk cell);
+        current := Some (k, new_cell spec tup)
+      end;
+      true
+    | Some tup, None ->
+      current := Some (Tuple.project_arr tup key_idx, new_cell spec tup);
+      true
+  in
+  with_filter out_schema g.Physical.having
+    (Biter.lockstep out_schema ~step ~close:bit.Biter.close)
 
 (* ==== morsel-driven parallel path (Physical.Exchange) ==== *)
 
@@ -1274,26 +973,7 @@ and compile_segment ctx plan : segment =
     let fn b =
       match seg.seg_fn b with
       | None -> None
-      | Some pb ->
-        let out = ref [] in
-        let n = ref 0 in
-        Batch.iter
-          (fun pt ->
-            List.iter
-              (fun bt ->
-                let o = emit pt bt in
-                if keep o then begin
-                  out := o :: !out;
-                  incr n
-                end)
-              (lookup pt))
-          pb;
-        if !n = 0 then None
-        else begin
-          let arr = Array.make !n [||] in
-          List.iteri (fun i t -> arr.(!n - 1 - i) <- t) !out;
-          Some (Batch.of_rows out_schema arr)
-        end
+      | Some pb -> probe_batch out_schema ~lookup ~emit ~keep pb
     in
     { seg with seg_schema = out_schema; seg_fn = fn }
   | _ -> raise Unsupported_segment
@@ -1308,32 +988,25 @@ and open_exchange ctx ~dop input : Biter.t =
     match compile_segment ctx input with
     | exception Unsupported_segment -> open_batch ctx input
     | seg ->
-      let npages, ppb, n_morsels = morsel_geometry seg.seg_heap in
-      let morsel ~wid:_ _wctx m =
-        let p0 = m * ppb in
-        let np = min ppb (npages - p0) in
-        let rows, lo, len =
-          Heap_file.scan_segment seg.seg_heap ~page:p0 ~npages:np
-        in
-        seg.seg_fn (Batch.of_segment seg.seg_scan_schema rows ~lo ~len)
-      in
+      let n_morsels, scan = morsel_geometry seg.seg_heap in
+      let morsel ~wid:_ _wctx m = scan seg m in
       let on_done = worker_profile_nodes ctx ~dop in
       Exchange.gather ~ctx ~dop ~schema:seg.seg_schema ~n_morsels ~morsel
         ?on_done ()
 
 (* Hash group over an exchange: each worker folds its morsels into a
-   private partial-aggregate table; the consumer merges the partials with
-   [Aggregate.merge] (the same partial algebra the matview extents use)
-   and orders groups by their first appearance in the serial stream, so
-   output is byte-identical to the serial operator. *)
+   private partial table of the group-by kernel; the consumer merges the
+   partials (the same partial algebra the matview extents use), so output
+   is byte-identical to the serial operator. *)
 and open_parallel_group ctx (g : Physical.group) ~dop input : Biter.t =
   let cat = Exec_ctx.catalog ctx in
   let seg = compile_segment ctx input in
   let in_schema = seg.seg_schema in
   let out_schema = Physical.schema cat (Physical.Hash_group g) in
-  let key_idx = resolve_all in_schema g.Physical.keys in
-  let fns = agg_arg_fns in_schema g.Physical.aggs in
-  let npages, ppb, n_morsels = morsel_geometry seg.seg_heap in
+  let (module G) =
+    groups (agg_spec in_schema g.Physical.aggs) (resolve_all in_schema g.Physical.keys)
+  in
+  let n_morsels, scan = morsel_geometry seg.seg_heap in
   (* The exchange is fused into this operator, but observability should
      still show it: mirror it as a profile child with per-worker nodes. *)
   let xnode, on_done =
@@ -1347,210 +1020,45 @@ and open_parallel_group ctx (g : Physical.group) ~dop input : Biter.t =
       Profile.leave prof;
       (Some xn, fill)
   in
-  let scan_morsel m =
-    let p0 = m * ppb in
-    let np = min ppb (npages - p0) in
-    let rows, lo, len = Heap_file.scan_segment seg.seg_heap ~page:p0 ~npages:np in
-    seg.seg_fn (Batch.of_segment seg.seg_scan_schema rows ~lo ~len)
+  let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
+    let t = G.create () in
+    let rec loop () =
+      match claim () with
+      | None -> t
+      | Some m ->
+        Option.iter
+          (fun b ->
+            let pos = ref 0 in
+            Batch.iter
+              (fun tup ->
+                G.absorb t ~m ~pos:!pos tup;
+                incr pos)
+              b;
+            ws.Exchange.wrows <- ws.Exchange.wrows + !pos;
+            ws.Exchange.wbatches <- ws.Exchange.wbatches + 1)
+          (scan seg m);
+        loop ()
+    in
+    loop ()
   in
-  (* Worker partial tables record, per group, the aggregate partial plus
-     the group's first (morsel, row position) — the row's rank in the
-     serial stream — so ordering merged groups by the minimum (m, pos)
-     reproduces the serial first-seen output order. *)
-  let rows, wstats =
-    match key_idx, int_agg_plan in_schema g.Physical.aggs with
-    | [| ki |], Some ia ->
-      (* Unboxed fast path, mirroring the serial single-int-key kernel:
-         each group's partial is a plain [int array] until a mis-typed row
-         upgrades it to generic states; partials merge by elementwise
-         addition (or [Aggregate.merge] once upgraded). *)
-      let fns_arr = Array.of_list fns in
-      let naggs = Array.length fns_arr in
-      let step_gen st tup =
-        for j = 0 to naggs - 1 do
-          Array.unsafe_set st j
-            (Aggregate.step (Array.unsafe_get st j)
-               ((Array.unsafe_get fns_arr j) tup))
-        done
-      in
-      let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
-        let table = VH.create 256 in
-        let rec loop () =
-          match claim () with
-          | None -> ()
-          | Some m ->
-            (match scan_morsel m with
-             | None -> ()
-             | Some b ->
-               let pos = ref 0 in
-               Batch.iter
-                 (fun tup ->
-                   let k = Array.unsafe_get tup ki in
-                   (match VH.find_opt table k with
-                    | Some (cell, _, _) -> (
-                      match !cell with
-                      | `Fast acc ->
-                        if int_row_fits ia tup then int_apply ia acc tup
-                        else begin
-                          let st = int_upgrade ia g.Physical.aggs acc in
-                          step_gen st tup;
-                          cell := `Slow st
-                        end
-                      | `Slow st -> step_gen st tup)
-                    | None ->
-                      let cell =
-                        if int_row_fits ia tup then begin
-                          let acc = Array.make naggs 0 in
-                          int_apply ia acc tup;
-                          `Fast acc
-                        end
-                        else begin
-                          let st = Array.of_list (init_states g.Physical.aggs) in
-                          step_gen st tup;
-                          `Slow st
-                        end
-                      in
-                      VH.add table k (ref cell, m, !pos));
-                   incr pos;
-                   ws.Exchange.wrows <- ws.Exchange.wrows + 1)
-                 b;
-               ws.Exchange.wbatches <- ws.Exchange.wbatches + 1);
-            loop ()
-        in
-        loop ();
-        table
-      in
-      let tables, wstats =
-        Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done ()
-      in
-      let to_states = function
-        | `Fast acc -> int_upgrade ia g.Physical.aggs acc
-        | `Slow st -> st
-      in
-      let merged = VH.create 256 in
+  let tables, wstats = Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done () in
+  let merged = G.create () in
+  Array.iter (fun t -> G.merge ~into:merged t) tables;
+  Option.iter
+    (fun xn ->
       Array.iter
-        (fun t ->
-          VH.iter
-            (fun k (cell, m, p) ->
-              match VH.find_opt merged k with
-              | None -> VH.replace merged k (!cell, m, p)
-              | Some (c0, m0, p0) ->
-                (* Earlier-stream partial first, like the serial fold. *)
-                let a, b, fm, fp =
-                  if (m0, p0) <= (m, p) then (c0, !cell, m0, p0)
-                  else (!cell, c0, m, p)
-                in
-                let c =
-                  match a, b with
-                  | `Fast x, `Fast y ->
-                    `Fast (Array.init naggs (fun j -> x.(j) + y.(j)))
-                  | _ ->
-                    let sa = to_states a and sb = to_states b in
-                    `Slow (Array.init naggs (fun j ->
-                               Aggregate.merge sa.(j) sb.(j)))
-                in
-                VH.replace merged k (c, fm, fp))
-            t)
-        tables;
-      let entries =
-        List.sort
-          (fun (_, _, m1, p1) (_, _, m2, p2) -> compare (m1, p1) (m2, p2))
-          (VH.fold (fun k (c, m, p) acc -> (k, c, m, p) :: acc) merged [])
-      in
-      let rows =
-        Array.of_list
-          (List.map
-             (fun (k, c, _, _) ->
-               match c with
-               | `Fast acc ->
-                 Tuple.concat [| k |]
-                   (Array.init naggs (fun j -> Value.Int acc.(j)))
-               | `Slow st -> finish_group [| k |] (Array.to_list st))
-             entries)
-      in
-      (rows, wstats)
-    | _ ->
-      let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
-        let table : (Aggregate.state list ref * int * int) TH.t =
-          TH.create 256
-        in
-        let rec loop () =
-          match claim () with
-          | None -> ()
-          | Some m ->
-            (match scan_morsel m with
-             | None -> ()
-             | Some b ->
-               let pos = ref 0 in
-               Batch.iter
-                 (fun tup ->
-                   let k = Tuple.project_arr tup key_idx in
-                   (match TH.find_opt table k with
-                    | Some (states, _, _) ->
-                      states := step_states !states fns tup
-                    | None ->
-                      TH.add table k
-                        ( ref (step_states (init_states g.Physical.aggs) fns tup),
-                          m, !pos ));
-                   incr pos;
-                   ws.Exchange.wrows <- ws.Exchange.wrows + 1)
-                 b;
-               ws.Exchange.wbatches <- ws.Exchange.wbatches + 1);
-            loop ()
-        in
-        loop ();
-        table
-      in
-      let tables, wstats =
-        Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done ()
-      in
-      let merged : (Aggregate.state list * int * int) TH.t = TH.create 256 in
-      Array.iter
-        (fun t ->
-          TH.iter
-            (fun k (states, m, p) ->
-              match TH.find_opt merged k with
-              | None -> TH.replace merged k (!states, m, p)
-              | Some (states0, m0, p0) ->
-                (* Merge earlier-stream partial first, so any
-                   order-sensitive tie in [Aggregate.merge] resolves like
-                   the serial fold. *)
-                let a, b, fm, fp =
-                  if (m0, p0) <= (m, p) then (states0, !states, m0, p0)
-                  else (!states, states0, m, p)
-                in
-                TH.replace merged k (List.map2 Aggregate.merge a b, fm, fp))
-            t)
-        tables;
-      let entries =
-        List.sort
-          (fun (_, _, m1, p1) (_, _, m2, p2) -> compare (m1, p1) (m2, p2))
-          (TH.fold (fun k (states, m, p) acc -> (k, states, m, p) :: acc)
-             merged [])
-      in
-      let rows =
-        Array.of_list
-          (List.map (fun (k, states, _, _) -> finish_group k states) entries)
-      in
-      (rows, wstats)
-  in
-  (match xnode with
-   | Some xn ->
-     Array.iter
-       (fun (ws : Exchange.wstats) ->
-         xn.Profile.rows_out <- xn.Profile.rows_out + ws.Exchange.wrows;
-         xn.Profile.batches <- xn.Profile.batches + ws.Exchange.wbatches;
-         xn.Profile.ms <- Float.max xn.Profile.ms ws.Exchange.wms;
-         xn.Profile.reads <- xn.Profile.reads + ws.Exchange.wio.Buffer_pool.reads;
-         xn.Profile.writes <- xn.Profile.writes + ws.Exchange.wio.Buffer_pool.writes;
-         xn.Profile.hits <- xn.Profile.hits + ws.Exchange.wio.Buffer_pool.hits)
-       wstats
-   | None -> ());
-  let result = Biter.of_rows out_schema rows in
-  if g.Physical.having = [] then result
-  else batch_filter (compile_batch_preds out_schema g.Physical.having) result
+        (fun (ws : Exchange.wstats) ->
+          xn.Profile.rows_out <- xn.Profile.rows_out + ws.Exchange.wrows;
+          xn.Profile.batches <- xn.Profile.batches + ws.Exchange.wbatches;
+          xn.Profile.ms <- Float.max xn.Profile.ms ws.Exchange.wms;
+          xn.Profile.reads <- xn.Profile.reads + ws.Exchange.wio.Buffer_pool.reads;
+          xn.Profile.writes <- xn.Profile.writes + ws.Exchange.wio.Buffer_pool.writes;
+          xn.Profile.hits <- xn.Profile.hits + ws.Exchange.wio.Buffer_pool.hits)
+        wstats)
+    xnode;
+  with_filter out_schema g.Physical.having (Biter.of_rows out_schema (G.rows merged))
 
-let run ?(executor = `Batch) ctx plan =
+let run ctx plan =
   (* Temps must be released even when an operator raises mid-pipeline
      (e.g. a type error in [Expr.eval]); otherwise spilled sort runs and
      join partitions leak on every failed query. *)
@@ -1558,11 +1066,9 @@ let run ?(executor = `Batch) ctx plan =
     ~finally:(fun () -> Exec_ctx.cleanup ctx)
     (fun () ->
       if Exec_ctx.guarded ctx then Exec_ctx.check ctx;
-      match executor with
-      | `Row -> Iter.to_relation (open_iter ctx plan)
-      | `Batch -> Biter.to_relation (open_batch ctx plan))
+      Biter.to_relation (open_batch ctx plan))
 
-let run_measured ?(cold = true) ?executor ctx plan =
+let run_measured ?(cold = true) ctx plan =
   let st = Exec_ctx.storage ctx in
   if cold then begin
     (* Cold benchmark path (single-threaded by contract): empty the pool and
@@ -1575,16 +1081,16 @@ let run_measured ?(cold = true) ?executor ctx plan =
      shared counters, so overlapping measurements on concurrent workers
      cannot misattribute each other's IO. *)
   let before = Storage.io_snapshot st in
-  let rel = run ?executor ctx plan in
+  let rel = run ctx plan in
   (rel, Storage.io_since st before)
 
-let run_profiled_result ?(cold = false) ?executor ctx plan =
+let run_profiled_result ?(cold = false) ctx plan =
   let prof = Profile.create () in
   Exec_ctx.set_profiler ctx (Some prof);
   Fun.protect
     ~finally:(fun () -> Exec_ctx.set_profiler ctx None)
     (fun () ->
-      match run_measured ~cold ?executor ctx plan with
+      match run_measured ~cold ctx plan with
       | rel, io -> Ok (rel, io, prof)
       | exception e ->
         (* Keep the partial per-operator stats: a timed-out or cancelled
@@ -1592,7 +1098,7 @@ let run_profiled_result ?(cold = false) ?executor ctx plan =
         Profile.set_error prof (Printexc.to_string e);
         Error (e, prof))
 
-let run_profiled ?executor ctx plan =
-  match run_profiled_result ~cold:false ?executor ctx plan with
+let run_profiled ?executor:(_ : engine option) ctx plan =
+  match run_profiled_result ctx plan with
   | Ok (rel, _io, prof) -> (rel, prof)
   | Error (e, _prof) -> raise e

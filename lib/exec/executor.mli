@@ -1,33 +1,30 @@
 (** The executor: evaluates physical plans over the paged storage engine,
     charging every page touch to the buffer pool.
 
-    Two engines share the plan language.  The row engine is the classic
-    volcano pull interpreter ({!open_iter}).  The batch engine
-    ({!open_batch}) moves {!Batch.t} row batches with selection vectors and
-    is the default for {!run}: scans fill batches a page at a time, filters
-    mark rows in a selection vector instead of copying, projections and
-    joins run compiled loops over batches.  Operators without a batch-native
-    implementation (BNL / index-NL / merge joins, sort-group) fall back to
-    the row engine through the {!Biter.of_iter} adapter, subtree-at-a-time,
-    so both engines touch pages in the same order and report identical IO. *)
+    One engine: every operator moves {!Batch.t} row batches with selection
+    vectors.  Scans fill one batch per page, filters mark rows in a
+    selection vector instead of copying, projections and hash joins run
+    compiled loops over batches, and the operators that walk their inputs
+    in lockstep (block and index nested loops, merge join, sort group, the
+    external sort's merge) are {!Biter.lockstep} operators.  Batches obey
+    the page-order rule of {!Biter}: a batch does its page IO before its
+    first row and none between rows, so the pool sees every page touch in
+    the order a row-at-a-time interpreter would make it, and page IO is
+    what the cost model predicts. *)
 
-type engine = [ `Row | `Batch ]
-
-val open_iter : Exec_ctx.t -> Physical.t -> Iter.t
-(** Open a plan as a row-at-a-time pull iterator.  The caller must drain or
-    close it; temp files are released on close / {!Exec_ctx.cleanup}. *)
+type engine = [ `Batch ]
+(** The one engine; kept as a type so configurations can name it. *)
 
 val open_batch : Exec_ctx.t -> Physical.t -> Biter.t
-(** Open a plan as a batch-at-a-time iterator. *)
+(** Open a plan as a batch-at-a-time iterator.  The caller must drain or
+    close it; temp files are released on close / {!Exec_ctx.cleanup}. *)
 
-val run : ?executor:engine -> Exec_ctx.t -> Physical.t -> Relation.t
+val run : Exec_ctx.t -> Physical.t -> Relation.t
 (** Evaluate to a materialized (in-memory) result and clean up temps.
-    Temps are released even if an operator raises (exception-safe).
-    Default engine: [`Batch]. *)
+    Temps are released even if an operator raises (exception-safe). *)
 
 val run_measured :
-  ?cold:bool -> ?executor:engine -> Exec_ctx.t -> Physical.t ->
-  Relation.t * Buffer_pool.stats
+  ?cold:bool -> Exec_ctx.t -> Physical.t -> Relation.t * Buffer_pool.stats
 (** Like {!run} but also returns the page IO the run incurred, measured as
     the delta of the calling domain's own IO tally — no shared counter is
     reset on the warm path, so concurrent measurements on different worker
@@ -38,11 +35,11 @@ val run_measured :
 val run_profiled :
   ?executor:engine -> Exec_ctx.t -> Physical.t -> Relation.t * Profile.t
 (** Like {!run} but additionally collects per-operator counters (rows
-    in/out, batches, wall time, page IO) for every plan node. *)
+    in/out, batches, wall time, page IO) for every plan node.  [executor]
+    has a single value and is ignored. *)
 
 val run_profiled_result :
   ?cold:bool ->
-  ?executor:engine ->
   Exec_ctx.t ->
   Physical.t ->
   (Relation.t * Buffer_pool.stats * Profile.t, exn * Profile.t) result

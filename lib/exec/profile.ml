@@ -73,26 +73,18 @@ let total_hits n = n.open_hits + n.hits
    actual, stable whether the pool is cold or warm. *)
 let total_touches n = total_reads n + total_writes n + total_hits n
 
-(* Count rows (and close) through a node on the row path.  Per-row wall
-   clocks would distort the very path being measured, so the row path only
-   counts; [ms] stays 0. *)
-let wrap_iter node (it : Iter.t) =
-  let next () =
-    match it.Iter.next () with
-    | None -> None
-    | Some _ as r ->
-      node.rows_out <- node.rows_out + 1;
-      r
-  in
-  { it with Iter.next }
-
-(* Batch granularity is coarse enough that timing each [next_batch] call is
-   in the noise; [ms] is inclusive of children. *)
-let wrap_biter node (bit : Biter.t) =
+(* Two clock reads and two IO snapshots per pull; [ms] and the page IO are
+   inclusive of the subtree. *)
+let wrap_biter node st (bit : Biter.t) =
   let next_batch () =
     let t0 = Unix.gettimeofday () in
+    let before = Storage.io_snapshot st in
     let r = bit.Biter.next_batch () in
+    let io = Storage.io_since st before in
     node.ms <- node.ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
+    node.reads <- node.reads + io.Buffer_pool.reads;
+    node.writes <- node.writes + io.Buffer_pool.writes;
+    node.hits <- node.hits + io.Buffer_pool.hits;
     (match r with
      | None -> ()
      | Some b ->

@@ -1,40 +1,21 @@
-let by_columns schema cols =
-  let idx =
-    Array.of_list
-      (List.map
-         (fun (c : Schema.column) ->
-           match Schema.index_of_column schema c with
-           | Some i -> i
-           | None ->
-             (match Schema.find schema ~qual:c.Schema.cqual c.Schema.cname with
-              | Some i -> i
-              | None ->
-                raise
-                  (Expr.Unresolved_column
-                     (Format.asprintf "sort key %s not in %a"
-                        (Schema.column_to_string c) Schema.pp schema))))
-         cols)
-  in
-  fun a b -> Tuple.compare_at idx a b
-
-let by_columns_dir schema cols ~desc =
-  if desc = [] || not (List.exists Fun.id desc) then by_columns schema cols
-  else begin
-    let resolve (c : Schema.column) =
-      match Schema.index_of_column schema c with
+let by_columns ?(desc = []) schema cols =
+  let resolve (c : Schema.column) =
+    match Schema.index_of_column schema c with
+    | Some i -> i
+    | None -> (
+      match Schema.find schema ~qual:c.Schema.cqual c.Schema.cname with
       | Some i -> i
       | None ->
-        (match Schema.find schema ~qual:c.Schema.cqual c.Schema.cname with
-         | Some i -> i
-         | None ->
-           raise
-             (Expr.Unresolved_column
-                (Format.asprintf "sort key %s not in %a"
-                   (Schema.column_to_string c) Schema.pp schema)))
-    in
-    let keys =
-      Array.of_list (List.map2 (fun c d -> (resolve c, d)) cols desc)
-    in
+        raise
+          (Expr.Unresolved_column
+             (Format.asprintf "sort key %s not in %a" (Schema.column_to_string c)
+                Schema.pp schema)))
+  in
+  if not (List.exists Fun.id desc) then
+    let idx = Array.of_list (List.map resolve cols) in
+    fun a b -> Tuple.compare_at idx a b
+  else begin
+    let keys = Array.of_list (List.map2 (fun c d -> (resolve c, d)) cols desc) in
     fun a b ->
       let rec loop i =
         if i >= Array.length keys then 0
@@ -46,12 +27,15 @@ let by_columns_dir schema cols ~desc =
       loop 0
   end
 
-(* k-way merge of already-sorted iterators via a binary min-heap over the
-   run heads: O(log k) per tuple instead of the O(k) linear scan, which made
-   high-fan-in merges quadratic-ish.  Ties break on source index, keeping
-   the merge deterministic. *)
-let merge_iters schema compare iters =
-  let arr = Array.of_list iters in
+(* k-way merge of sorted inputs via a binary min-heap over the input heads:
+   O(log k) per tuple instead of the O(k) linear scan, which made high-fan-in
+   merges quadratic-ish.  Ties break on input index, keeping the merge
+   deterministic.  Each output row refills the heap from its own input
+   before it is emitted, so a spilled run's next page is read exactly when
+   its first row is needed; {!Biter.lockstep} starts a new output batch at
+   every such read. *)
+let merge schema compare (inputs : Biter.t list) =
+  let arr = Array.of_list (List.map Biter.cursor inputs) in
   let k = Array.length arr in
   let heap_tup = Array.make (max k 1) [||] in
   let heap_src = Array.make (max k 1) 0 in
@@ -86,21 +70,21 @@ let merge_iters schema compare iters =
       sift_down !m
     end
   in
-  let push tup src =
-    heap_tup.(!size) <- tup;
-    heap_src.(!size) <- src;
-    incr size;
-    sift_up (!size - 1)
-  in
   Array.iteri
-    (fun i (it : Iter.t) ->
-      match it.Iter.next () with Some t -> push t i | None -> ())
+    (fun i c ->
+      match Biter.advance c with
+      | Some t ->
+        heap_tup.(!size) <- t;
+        heap_src.(!size) <- i;
+        incr size;
+        sift_up (!size - 1)
+      | None -> ())
     arr;
-  let next () =
-    if !size = 0 then None
-    else begin
+  let step o =
+    !size > 0
+    && begin
       let tup = heap_tup.(0) and src = heap_src.(0) in
-      (match arr.(src).Iter.next () with
+      (match Biter.pull o arr.(src) with
        | Some t ->
          heap_tup.(0) <- t;
          sift_down 0
@@ -110,17 +94,17 @@ let merge_iters schema compare iters =
          heap_src.(0) <- heap_src.(!size);
          heap_tup.(!size) <- [||];
          if !size > 0 then sift_down 0);
-      Some tup
+      Biter.emit o tup;
+      true
     end
   in
-  let close () = Array.iter (fun (it : Iter.t) -> it.Iter.close ()) arr in
-  { Iter.schema; next; close }
+  let close () = List.iter (fun (b : Biter.t) -> b.Biter.close ()) inputs in
+  Biter.lockstep schema ~step ~close
 
-(* Core external sort over an abstract producer: [drain f] must call [f] on
-   every input tuple and release the input.  Shared by the row path
-   ({!sort}) and the batch path ({!sort_batches}); both therefore buffer,
-   spill and merge identically, page for page. *)
-let sort_drain ctx ~compare ~schema drain =
+(* External sort: buffer [work_mem] pages of input, spill each full buffer
+   as a sorted run, then merge with fan-in [work_mem - 1]. *)
+let sort ctx ~compare (input : Biter.t) =
+  let schema = input.Biter.schema in
   let work_mem = Exec_ctx.work_mem ctx in
   let page_cap = Page.capacity ~row_bytes:(Schema.byte_width schema) in
   let run_rows = max 1 (work_mem * page_cap) in
@@ -137,16 +121,19 @@ let sort_drain ctx ~compare ~schema drain =
       buffered := 0
     end
   in
-  drain (fun tup ->
+  Biter.iter_rows
+    (fun tup ->
       buffer := tup :: !buffer;
       incr buffered;
-      if !buffered >= run_rows then flush_run ());
+      if !buffered >= run_rows then flush_run ())
+    input;
   if !runs = [] then
     (* Fits in memory: no spill. *)
-    Iter.of_list schema (List.sort compare !buffer)
+    Biter.of_rows schema (Array.of_list (List.sort compare !buffer))
   else begin
     flush_run ();
     let fanin = max 2 (work_mem - 1) in
+    let merge_runs hs = merge schema compare (List.map (Biter.scan schema) hs) in
     let rec merge_passes runs =
       if List.length runs <= fanin then runs
       else begin
@@ -161,12 +148,10 @@ let sort_drain ctx ~compare ~schema drain =
           | [] -> List.rev acc
           | runs ->
             let batch, rest = take fanin runs in
-            let merged =
-              merge_iters schema compare
-                (List.map (fun h -> Iter.of_seq schema (Heap_file.to_seq h)) batch)
-            in
             let out = Exec_ctx.temp ctx schema in
-            Iter.iter (fun t -> ignore (Heap_file.append out t)) merged;
+            Biter.iter_rows
+              (fun t -> ignore (Heap_file.append out t))
+              (merge_runs batch);
             List.iter (fun h -> Exec_ctx.drop ctx h) batch;
             pass (out :: acc) rest
         in
@@ -174,22 +159,12 @@ let sort_drain ctx ~compare ~schema drain =
       end
     in
     let final_runs = merge_passes (List.rev !runs) in
-    let merged =
-      merge_iters schema compare
-        (List.map (fun h -> Iter.of_seq schema (Heap_file.to_seq h)) final_runs)
-    in
+    let merged = merge_runs final_runs in
     {
       merged with
-      Iter.close =
+      Biter.close =
         (fun () ->
-          merged.Iter.close ();
+          merged.Biter.close ();
           List.iter (fun h -> Exec_ctx.drop ctx h) final_runs);
     }
   end
-
-let sort ctx ~compare (input : Iter.t) =
-  sort_drain ctx ~compare ~schema:input.Iter.schema (fun f -> Iter.iter f input)
-
-let sort_batches ctx ~compare (input : Biter.t) =
-  sort_drain ctx ~compare ~schema:input.Biter.schema (fun f ->
-      Biter.iter_rows f input)

@@ -5,25 +5,22 @@
     files and merged with fan-in [work_mem - 1], exactly the behaviour the
     cost model prices. *)
 
-val sort : Exec_ctx.t -> compare:(Tuple.t -> Tuple.t -> int) -> Iter.t -> Iter.t
+val sort :
+  Exec_ctx.t ->
+  compare:(Tuple.t -> Tuple.t -> int) ->
+  Biter.t ->
+  Biter.t
+(** Drain the input, then serve it sorted. *)
 
-val sort_batches :
-  Exec_ctx.t -> compare:(Tuple.t -> Tuple.t -> int) -> Biter.t -> Iter.t
-(** Batch-fed external sort: drains the input batch-at-a-time into the same
-    run-building and merge machinery as {!sort}, so both paths spill and
-    merge identically.  The merged output is inherently row-at-a-time. *)
+val merge : Schema.t -> (Tuple.t -> Tuple.t -> int) -> Biter.t list -> Biter.t
+(** k-way merge of already-sorted inputs using a binary min-heap over their
+    heads (O(log k) per tuple); ties break on input index.  Output batches
+    end wherever the next row needs a new input batch (see
+    {!Biter.lockstep}). *)
 
-val merge_iters :
-  Schema.t -> (Tuple.t -> Tuple.t -> int) -> Iter.t list -> Iter.t
-(** k-way merge of already-sorted iterators using a binary min-heap over the
-    run heads (O(log k) per tuple); ties break on run index. *)
-
-val by_columns : Schema.t -> Schema.column list -> Tuple.t -> Tuple.t -> int
-(** Comparator on the given columns resolved against [schema].
+val by_columns :
+  ?desc:bool list -> Schema.t -> Schema.column list -> Tuple.t -> Tuple.t -> int
+(** Comparator on the given columns resolved against [schema], with a
+    per-column direction flag parallel to the column list ([true] =
+    descending; omitted or [[]] = all ascending).
     @raise Expr.Unresolved_column on a missing column. *)
-
-val by_columns_dir :
-  Schema.t -> Schema.column list -> desc:bool list ->
-  Tuple.t -> Tuple.t -> int
-(** Like {!by_columns} with a per-column direction flag parallel to the
-    column list ([true] = descending); [desc = []] means all ascending. *)

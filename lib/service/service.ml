@@ -1030,14 +1030,13 @@ let run (type a) ?cancel ?(limits = no_limits) ?(analyze = false) ?ctx t
       r.r_io <- Storage.io_since st before;
       r.r_spill_bytes <- Exec_ctx.spill_pages ctx * Page.size
     in
-    let executor = t.cfg.executor in
     let rel =
       Fun.protect ~finally (fun () ->
           if analyze || t.tracer <> None then (
-            match Executor.run_profiled_result ~executor ctx p.plan with
+            match Executor.run_profiled_result ctx p.plan with
             | Ok (rel, _, pr) -> prof := Some pr; rel
             | Error (e, pr) -> prof := Some pr; raise e)
-          else Executor.run ~executor ctx p.plan)
+          else Executor.run ctx p.plan)
     in
     r.r_rows <- Relation.cardinality rel;
     (p, rel, r.r_io)

@@ -31,9 +31,7 @@ type config = {
           within this factor of the cost it was cached at (>= 1.0) *)
   cache_enabled : bool;  (** [false] = optimize every call (baseline) *)
   executor : Executor.engine;
-      (** execution engine for this session's runs; the plan cache is
-          engine-agnostic (plans are identical), so sessions sharing a
-          service may differ only in how plans are interpreted *)
+      (** the execution engine; it has a single value *)
   statement_timeout_ms : float option;
       (** per-statement deadline covering planning + execution; exceeding it
           raises [Avq_error.Error (Timeout _)] at the next batch boundary *)
@@ -48,7 +46,7 @@ type config = {
 
 val default_config : config
 (** [Paper] algorithm, 32 pages work_mem, 128 entries / 4 MiB cache,
-    recost ratio 10.0, cache on, batch executor, no timeout or spill
+    recost ratio 10.0, cache on, no timeout or spill
     quota, serial ([dop = 1]). *)
 
 type t

@@ -103,6 +103,38 @@ let example1 ?(age_limit = 22) () =
     q_limit = None;
   }
 
+(* Example 1 after the paper's pull-up: one grouped block over the self-join
+   of [emp], the view's group-by keyed on the outer row. *)
+let example1_pulled_up ?(age_limit = 22) () =
+  let e1 q = col ~qual:"e1" q and e2 q = col ~qual:"e2" q in
+  let avg_sal = Aggregate.make Aggregate.Avg ~arg:(Expr.Col (e2 "sal")) "asal" in
+  {
+    Block.q_views = [];
+    q_rels =
+      [
+        { Block.r_alias = "e1"; r_table = "emp" };
+        { Block.r_alias = "e2"; r_table = "emp" };
+      ];
+    q_preds =
+      [
+        Expr.Cmp (Expr.Eq, Expr.Col (e1 "dno"), Expr.Col (e2 "dno"));
+        Expr.Cmp (Expr.Lt, Expr.Col (e1 "age"), Expr.int age_limit);
+      ];
+    q_grouped = true;
+    q_keys = [ e2 "dno"; e1 "eno"; e1 "sal" ];
+    q_aggs = [ avg_sal ];
+    q_having =
+      [
+        Expr.Cmp
+          ( Expr.Gt,
+            Expr.Col (e1 "sal"),
+            Expr.Col (Schema.column ~qual:"" "asal" Datatype.Float) );
+      ];
+    q_select = [ Block.Sel_col (e1 "eno", "eno"); Block.Sel_col (e1 "sal", "sal") ];
+    q_order = [];
+    q_limit = None;
+  }
+
 let example2 ?(budget_limit = 1_000_000) () =
   let e q = col ~qual:"e" q in
   let d q = col ~qual:"d" q in

@@ -29,6 +29,11 @@ val example1 : ?age_limit:int -> unit -> Block.query
     than their department's average salary — a join of [emp] with the
     aggregate view [A1(dno, asal)]. *)
 
+val example1_pulled_up : ?age_limit:int -> unit -> Block.query
+(** Example 1 rewritten by the paper's pull-up ("query B" of Section 3): a
+    single grouped block over the self-join of [emp], keyed on the outer
+    employee, with the salary comparison as HAVING. *)
+
 val example2 : ?budget_limit:int -> unit -> Block.query
 (** Example 2: average salary per department with budget below
     [budget_limit] — a single-block query whose minimal invariant set is

@@ -101,6 +101,43 @@ let duplicate_and_errors () =
    | _ -> Alcotest.fail "bad pk column accepted");
   Alcotest.(check bool) "find_table none" true (Catalog.find_table cat "nosuch" = None)
 
+(* Matview maintenance swaps an extent's rows while readers plan and run
+   against it: a reader must always find the table, holding either the old
+   rows or the new ones. *)
+let replace_rows_never_unlists () =
+  let cat = Catalog.create ~frames:64 () in
+  let mk base = rows 50 (fun i -> Tuple.make [ Value.Int i; Value.Int base ]) in
+  ignore
+    (Catalog.add_table cat ~name:"other" ~columns:[ ("k", Datatype.Int) ] ~pk:[ "k" ]
+       [ Tuple.make [ Value.Int 0 ] ]);
+  ignore
+    (Catalog.add_table cat ~name:"ext"
+       ~columns:[ ("k", Datatype.Int); ("v", Datatype.Int) ]
+       ~pk:[ "k" ] (mk 0));
+  let swaps = 2000 in
+  let done_ = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let misses = ref 0 and reads = ref 0 in
+        while not (Atomic.get done_) do
+          (match Catalog.table_exn cat "ext" with
+           | _ -> ()
+           | exception Invalid_argument _ -> incr misses);
+          incr reads
+        done;
+        (!misses, !reads))
+  in
+  for i = 1 to swaps do
+    ignore (Catalog.replace_rows cat "ext" (mk i))
+  done;
+  Atomic.set done_ true;
+  let misses, reads = Domain.join reader in
+  Alcotest.(check int) "reader never misses the table" 0 misses;
+  Alcotest.(check bool) "reader ran" true (reads > 0);
+  Alcotest.(check (list string)) "position kept" [ "other"; "ext" ]
+    (List.map (fun t -> t.Catalog.tname) (Catalog.tables cat));
+  Alcotest.(check int) "version bumped per swap" swaps (Catalog.table_version cat "ext")
+
 let tests =
   [
     Alcotest.test_case "table registration and stats" `Quick basic_table;
@@ -109,4 +146,6 @@ let tests =
     Alcotest.test_case "rowid fallback for keyless tables" `Quick rowid_fallback;
     Alcotest.test_case "foreign key declarations" `Quick foreign_keys;
     Alcotest.test_case "error cases" `Quick duplicate_and_errors;
+    Alcotest.test_case "replace_rows never unlists the table" `Quick
+      replace_rows_never_unlists;
   ]

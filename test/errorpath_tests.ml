@@ -34,13 +34,23 @@ let exploding_pred =
         (Expr.Div, Expr.int 100, Expr.Binop (Expr.Sub, Expr.Col (c ~q:"a" "v"), Expr.int 50)),
       Expr.int 0 )
 
-let failing_plan = Physical.Filter { input = spilling_sort; pred = [ exploding_pred ] }
+(* The "row:" cases put a lockstep operator, which consumes its input a row
+   at a time, between the spilling sort and the failure or the Limit: a
+   sort group over the sorted stream (one output row per distinct v). *)
+let grouped input =
+  Physical.Sort_group
+    { input; agg_qual = "g"; keys = [ c ~q:"a" "v" ];
+      aggs = [ Aggregate.make Aggregate.Count_star "n" ]; having = [] }
 
-let check_no_leak engine name () =
+let distinct_v = 101
+
+let failing_plan input = Physical.Filter { input; pred = [ exploding_pred ] }
+
+let check_no_leak name input () =
   let cat = build_catalog () in
   let ctx = Exec_ctx.create ~work_mem:3 cat in
   let raised =
-    match Executor.run ~executor:engine ctx failing_plan with
+    match Executor.run ctx (failing_plan input) with
     | _ -> false
     | exception Value.Type_error _ -> true
   in
@@ -49,21 +59,21 @@ let check_no_leak engine name () =
 
 (* Sanity: the same sort *does* spill and completes cleanly without the
    exploding filter, and cleanup still leaves no temps. *)
-let check_clean_run engine name () =
+let check_clean_run name input rows () =
   let cat = build_catalog () in
   let ctx = Exec_ctx.create ~work_mem:3 cat in
-  let rel = Executor.run ~executor:engine ctx spilling_sort in
-  Alcotest.(check int) (name ^ ": row count") n_rows (Relation.cardinality rel);
+  let rel = Executor.run ctx input in
+  Alcotest.(check int) (name ^ ": row count") rows (Relation.cardinality rel);
   Alcotest.(check int) (name ^ ": zero temps after run") 0 (Exec_ctx.live_temps ctx)
 
 (* Limit closes its input eagerly after [count] rows; the executor's
    unconditional cleanup then closes again.  Both closes and the temp drops
    must compose (idempotent close, idempotent drop). *)
-let check_limit_compose engine name () =
+let check_limit_compose name input () =
   let cat = build_catalog () in
   let ctx = Exec_ctx.create ~work_mem:3 cat in
-  let plan = Physical.Limit { input = spilling_sort; count = 5 } in
-  let rel = Executor.run ~executor:engine ctx plan in
+  let plan = Physical.Limit { input; count = 5 } in
+  let rel = Executor.run ctx plan in
   Alcotest.(check int) (name ^ ": limited rows") 5 (Relation.cardinality rel);
   Alcotest.(check int) (name ^ ": zero temps after eager close") 0
     (Exec_ctx.live_temps ctx)
@@ -73,12 +83,18 @@ let sample_rows = List.init 10 (fun i -> Tuple.make [ Value.Int i ])
 
 exception Boom
 
+(* A lockstep iterator (here the k-way merge) closes all its inputs when
+   the drain above it raises. *)
 let iter_closes_on_exception () =
   let closes = ref 0 in
-  let base = Iter.of_list sample_schema sample_rows in
-  let it = { base with Iter.close = (fun () -> incr closes; base.Iter.close ()) } in
-  (try Iter.iter (fun _ -> raise Boom) it with Boom -> ());
-  Alcotest.(check int) "source closed exactly once" 1 !closes
+  let source () =
+    let base = Biter.of_rows sample_schema (Array.of_list sample_rows) in
+    { base with Biter.close = (fun () -> incr closes; base.Biter.close ()) }
+  in
+  let cmp a b = Value.compare (Tuple.get a 0) (Tuple.get b 0) in
+  let merged = Xsort.merge sample_schema cmp [ source (); source () ] in
+  (try Biter.iter (fun _ -> raise Boom) merged with Boom -> ());
+  Alcotest.(check int) "each input closed exactly once" 2 !closes
 
 let biter_closes_on_exception () =
   let closes = ref 0 in
@@ -91,13 +107,9 @@ let biter_closes_on_exception () =
 
 let once_idempotent () =
   let calls = ref 0 in
-  let f = Iter.once (fun () -> incr calls) in
-  f (); f (); f ();
-  Alcotest.(check int) "wrapped close ran once" 1 !calls;
-  let calls = ref 0 in
   let g = Biter.once (fun () -> incr calls) in
-  g (); g ();
-  Alcotest.(check int) "batch wrapped close ran once" 1 !calls
+  g (); g (); g ();
+  Alcotest.(check int) "wrapped close ran once" 1 !calls
 
 let drop_idempotent () =
   let cat = build_catalog () in
@@ -113,18 +125,19 @@ let drop_idempotent () =
 let tests =
   [
     Alcotest.test_case "row: failed query leaks no temps" `Quick
-      (check_no_leak `Row "row");
+      (check_no_leak "row" (grouped spilling_sort));
     Alcotest.test_case "batch: failed query leaks no temps" `Quick
-      (check_no_leak `Batch "batch");
+      (check_no_leak "batch" spilling_sort);
     Alcotest.test_case "row: clean spilling sort leaves no temps" `Quick
-      (check_clean_run `Row "row");
+      (check_clean_run "row" (grouped spilling_sort) distinct_v);
     Alcotest.test_case "batch: clean spilling sort leaves no temps" `Quick
-      (check_clean_run `Batch "batch");
+      (check_clean_run "batch" spilling_sort n_rows);
     Alcotest.test_case "row: limit eager close composes with cleanup" `Quick
-      (check_limit_compose `Row "row");
+      (check_limit_compose "row" (grouped spilling_sort));
     Alcotest.test_case "batch: limit eager close composes with cleanup" `Quick
-      (check_limit_compose `Batch "batch");
-    Alcotest.test_case "iter closes source on exception" `Quick iter_closes_on_exception;
+      (check_limit_compose "batch" spilling_sort);
+    Alcotest.test_case "iter closes source on exception" `Quick
+      iter_closes_on_exception;
     Alcotest.test_case "biter closes source on exception" `Quick biter_closes_on_exception;
     Alcotest.test_case "once close wrappers are idempotent" `Quick once_idempotent;
     Alcotest.test_case "exec_ctx drop is idempotent" `Quick drop_idempotent;

@@ -30,7 +30,7 @@ let run_batch ?work_mem cat plan =
   let ctx = Exec_ctx.create ?work_mem cat in
   Fun.protect
     ~finally:(fun () -> Exec_ctx.cleanup ctx)
-    (fun () -> Executor.run ~executor:`Batch ctx plan)
+    (fun () -> Executor.run ctx plan)
 
 let same_bytes a b =
   let ta = Relation.tuples a and tb = Relation.tuples b in
@@ -126,7 +126,7 @@ let worker_fault_containment () =
   let fplan = Fault.make [ Fault.rule ~op:Fault.Read ~p:1.0 () ] in
   Storage.Faults.install st fplan;
   let ctx = Exec_ctx.create cat in
-  (match Executor.run_measured ~cold:true ~executor:`Batch ctx plan with
+  (match Executor.run_measured ~cold:true ctx plan with
   | _ -> Alcotest.fail "expected a typed IO fault from a morsel worker"
   | exception Avq_error.Error (Avq_error.Io_fault _) -> ());
   Exec_ctx.cleanup ctx;
@@ -148,7 +148,7 @@ let deadline_stops_workers () =
   in
   let ctx = Exec_ctx.create cat in
   Exec_ctx.begin_statement ~timeout_ms:0.001 ctx;
-  (match Executor.run ~executor:`Batch ctx plan with
+  (match Executor.run ctx plan with
   | _ -> Alcotest.fail "expected a typed timeout"
   | exception Avq_error.Error (Avq_error.Timeout _) -> ());
   Exec_ctx.cleanup ctx;

@@ -1,28 +1,51 @@
-(* Iterators, external sort internals and execution-context hygiene. *)
+(* Batch iterator combinators, external sort internals and
+   execution-context hygiene. *)
 
 let int_schema = Schema.of_columns [ Schema.column ~qual:"t" "x" Datatype.Int ]
 
 let mk_tuples l = List.map (fun i -> Tuple.make [ Value.Int i ]) l
 
+let ints l =
+  List.map (fun t -> match Tuple.get t 0 with Value.Int v -> v | _ -> assert false) l
+
 let iter_helpers () =
-  let it = Iter.of_list int_schema (mk_tuples [ 1; 2; 3; 4 ]) in
-  let doubled =
-    Iter.map int_schema (fun t ->
-        Tuple.make [ Value.mul (Tuple.get t 0) (Value.Int 2) ]) it
+  let rows = Array.of_list (mk_tuples [ 1; 2; 3; 4 ]) in
+  Alcotest.(check (list int)) "of_rows round trip" [ 1; 2; 3; 4 ]
+    (ints (Biter.to_list (Biter.of_rows int_schema rows)));
+  let batches =
+    Biter.of_batches int_schema
+      [ Batch.of_list int_schema (mk_tuples [ 7; 8 ]); Batch.of_rows int_schema rows ]
   in
-  let even =
-    Iter.filter
-      (fun t -> match Tuple.get t 0 with Value.Int v -> v mod 4 = 0 | _ -> false)
-      doubled
+  let seen = ref [] in
+  Biter.iter_rows (fun t -> seen := t :: !seen) batches;
+  Alcotest.(check (list int)) "of_batches in order" [ 7; 8; 1; 2; 3; 4 ]
+    (ints (List.rev !seen));
+  Alcotest.(check int) "empty" 0 (List.length (Biter.to_list (Biter.empty int_schema)));
+  (* A lockstep operator: emit each input row twice, ending each output
+     batch before the next input batch is pulled. *)
+  let input =
+    Biter.cursor
+      (Biter.of_batches int_schema
+         [ Batch.of_list int_schema (mk_tuples [ 1; 2 ]);
+           Batch.of_list int_schema (mk_tuples [ 3 ]) ])
   in
-  Alcotest.(check int) "map+filter" 2 (List.length (Iter.to_list even));
-  let fanout =
-    Iter.concat_map_tuples int_schema
-      (fun t -> [ t; t ])
-      (Iter.of_list int_schema (mk_tuples [ 7; 8 ]))
+  let step o =
+    match Biter.pull o input with
+    | None -> false
+    | Some t ->
+      Biter.emit o t;
+      Biter.emit o t;
+      true
   in
-  Alcotest.(check int) "concat_map fanout" 4 (List.length (Iter.to_list fanout));
-  Alcotest.(check int) "empty" 0 (List.length (Iter.to_list (Iter.empty int_schema)))
+  let sizes = ref [] and out = ref [] in
+  Biter.iter
+    (fun b ->
+      sizes := Batch.live b :: !sizes;
+      out := !out @ Batch.to_list b)
+    (Biter.lockstep int_schema ~step ~close:(fun () -> ()));
+  Alcotest.(check (list int)) "lockstep fan-out" [ 1; 1; 2; 2; 3; 3 ] (ints !out);
+  Alcotest.(check (list int)) "one output batch per input batch" [ 4; 2 ]
+    (List.rev !sizes)
 
 let multi_pass_merge () =
   (* work_mem = 3 => fan-in 2; 40 pages of data => several merge passes. *)

@@ -348,30 +348,21 @@ let profiled_io_equals_unprofiled () =
   in
   let q = Tpcd.q_small_quantity_parts () in
   let plan = (Optimizer.optimize cat q).Optimizer.plan in
-  let run profiled engine =
+  let run profiled =
     let ctx = Exec_ctx.create ~work_mem:8 cat in
     if profiled then
-      match Executor.run_profiled_result ~cold:true ~executor:engine ctx plan with
+      match Executor.run_profiled_result ~cold:true ctx plan with
       | Ok (rel, io, _) -> (rel, io)
       | Error (e, _) -> raise e
-    else Executor.run_measured ~cold:true ~executor:engine ctx plan
+    else Executor.run_measured ~cold:true ctx plan
   in
-  List.iter
-    (fun engine ->
-      let rel_p, io_p = run true engine and rel_u, io_u = run false engine in
-      Alcotest.(check bool) "same result under profiling" true
-        (Relation.multiset_equal rel_p rel_u);
-      Alcotest.(check int) "same reads under profiling"
-        io_u.Buffer_pool.reads io_p.Buffer_pool.reads;
-      Alcotest.(check int) "same writes under profiling"
-        io_u.Buffer_pool.writes io_p.Buffer_pool.writes)
-    [ `Row; `Batch ];
-  (* and row vs batch still agree on physical IO when both are profiled *)
-  let _, io_r = run true `Row and _, io_b = run true `Batch in
-  Alcotest.(check int) "row/batch reads agree under profiling"
-    io_r.Buffer_pool.reads io_b.Buffer_pool.reads;
-  Alcotest.(check int) "row/batch writes agree under profiling"
-    io_r.Buffer_pool.writes io_b.Buffer_pool.writes
+  let rel_p, io_p = run true and rel_u, io_u = run false in
+  Alcotest.(check bool) "same result under profiling" true
+    (Relation.multiset_equal rel_p rel_u);
+  Alcotest.(check int) "same reads under profiling"
+    io_u.Buffer_pool.reads io_p.Buffer_pool.reads;
+  Alcotest.(check int) "same writes under profiling"
+    io_u.Buffer_pool.writes io_p.Buffer_pool.writes
 
 (* json_float must round-trip every finite float exactly: %g's 6 significant
    digits silently corrupted large counters and sums like 0.1 +. 0.2. *)
