@@ -22,7 +22,7 @@ module Value_key = struct
     | v -> Value.hash v
 end
 
-(* Value-keyed table for single-column group keys. *)
+(* Value-keyed table for single-column keys: group-by and equi-join. *)
 module VH = Hashtbl.Make (Value_key)
 
 type engine = [ `Batch ]
@@ -118,16 +118,15 @@ let agg_spec schema (aggs : Aggregate.t list) =
   }
 
 let int_row_fits ia tup =
-  let n = Array.length ia in
-  let rec go j =
-    j >= n
-    || (match Array.unsafe_get ia j with
-       | ICount -> true
-       | ISum idx -> (
-         match Array.unsafe_get tup idx with Value.Int _ -> true | _ -> false))
-       && go (j + 1)
-  in
-  go 0
+  let fits = ref true and j = ref 0 in
+  while !fits && !j < Array.length ia do
+    (match Array.unsafe_get ia !j with
+     | ICount -> ()
+     | ISum idx -> (
+       match Array.unsafe_get tup idx with Value.Int _ -> () | _ -> fits := false));
+    incr j
+  done;
+  !fits
 
 let int_apply ia acc tup =
   for j = 0 to Array.length ia - 1 do
@@ -207,9 +206,9 @@ let rank_compare a b =
 
 module Partial (H : Hashtbl.S) = struct
   let absorb spec tbl k ~m ~pos tup =
-    match H.find_opt tbl k with
-    | Some e -> e.cell <- step_cell spec e.cell tup
-    | None -> H.add tbl k { cell = new_cell spec tup; m; pos }
+    match H.find tbl k with
+    | e -> e.cell <- step_cell spec e.cell tup
+    | exception Not_found -> H.add tbl k { cell = new_cell spec tup; m; pos }
 
   let merge spec ~into src =
     H.iter
@@ -263,21 +262,37 @@ let groups spec key_idx : (module GROUPS) =
       let rows t = PT.rows t Fun.id
     end)
 
-(* ---- hash-join building blocks ---- *)
+(* ---- equi-key index: hash-join tables and BNL block indexes ----
 
-let build_hash_table build_keys build_rows =
-  let table = TH.create 1024 in
-  List.iter
-    (fun bt ->
-      let k = Tuple.project_arr bt build_keys in
-      TH.replace table k (bt :: Option.value ~default:[] (TH.find_opt table k)))
-    build_rows;
-  table
+   Rows bucketed by their values at [build_keys], looked up with another
+   row's values at [probe_keys].  Like {!groups}, a one-column key is
+   hashed as the value itself and a wider one as the projected tuple.  A
+   bucket lists its rows in reverse insertion order. *)
 
-let probe_hits table probe_keys pt =
-  match TH.find_opt table (Tuple.project_arr pt probe_keys) with
-  | None -> []
-  | Some bts -> bts
+type eq_index = { add : Tuple.t -> unit; find : Tuple.t -> Tuple.t list }
+
+let eq_index ~build_keys ~probe_keys size =
+  match build_keys, probe_keys with
+  | [| bk |], [| pk |] ->
+    let t = VH.create size in
+    let add row =
+      let k = Array.unsafe_get row bk in
+      VH.replace t k (row :: (try VH.find t k with Not_found -> []))
+    in
+    { add; find = (fun row -> try VH.find t (Array.unsafe_get row pk) with Not_found -> []) }
+  | _ ->
+    let t = TH.create size in
+    let add row =
+      let k = Tuple.project_arr row build_keys in
+      TH.replace t k (row :: (try TH.find t k with Not_found -> []))
+    in
+    { add;
+      find = (fun row -> try TH.find t (Tuple.project_arr row probe_keys) with Not_found -> []) }
+
+let build_hash_table ~build_keys ~probe_keys build_rows =
+  let index = eq_index ~build_keys ~probe_keys 1024 in
+  List.iter index.add build_rows;
+  index
 
 (* Probe a batch against a read-only table: one output batch per probe
    batch with at least one match. *)
@@ -302,6 +317,46 @@ let probe_batch out_schema ~lookup ~emit ~keep pb =
     Some (Batch.of_rows out_schema arr)
   end
 
+(* The equality conjuncts of a BNL condition that an index on the outer
+   block can answer, as (outer, inner) positions.  Columns resolve exactly
+   as [compile_preds] resolves them on the joined schema; an equality
+   qualifies when its columns have one datatype and lie on different sides.
+   Only conjuncts before the first one that could raise a type error count,
+   so skipping a pair whose keys differ is exactly [keep] returning false:
+   a conjunct cannot raise when it compares only columns and constants of
+   types [Value.compare] accepts together. *)
+let bnl_index_keys out_schema ~outer_arity cond =
+  let operand = function
+    | Expr.Col c ->
+      let i = Expr.resolve_column out_schema c in
+      Some (Some i, (Schema.get out_schema i).Schema.cty)
+    | Expr.Const v -> Some (None, Value.type_of v)
+    | Expr.Binop _ -> None
+  in
+  let numeric t = Datatype.equal t Datatype.Int || Datatype.equal t Datatype.Float in
+  let rec safe = function
+    | Expr.Cmp (_, a, b) -> (
+      match operand a, operand b with
+      | Some (_, ta), Some (_, tb) -> Datatype.equal ta tb || (numeric ta && numeric tb)
+      | _ -> false)
+    | Expr.And (p, q) | Expr.Or (p, q) -> safe p && safe q
+    | Expr.Not p -> safe p
+  in
+  let outer i = i < outer_arity in
+  let key = function
+    | Expr.Cmp (Expr.Eq, a, b) -> (
+      match operand a, operand b with
+      | Some (Some i, ta), Some (Some j, tb) when Datatype.equal ta tb && outer i <> outer j ->
+        Some (if outer i then (i, j - outer_arity) else (j, i - outer_arity))
+      | _ -> None)
+    | _ -> None
+  in
+  let rec keys = function
+    | c :: rest when safe c -> Option.to_list (key c) @ keys rest
+    | _ -> []
+  in
+  keys (List.concat_map Expr.conjuncts cond)
+
 let grace_partitions ctx build_pages =
   let work_mem = Exec_ctx.work_mem ctx in
   min 64 (max 2 ((build_pages + work_mem - 2) / (work_mem - 1)))
@@ -316,7 +371,8 @@ let grace_join ctx ~nparts ~build_parts ~probe_parts ~build_keys ~probe_keys
   let results = ref [] in
   for p = 0 to nparts - 1 do
     let table =
-      build_hash_table build_keys (List.of_seq (Heap_file.to_seq build_parts.(p)))
+      build_hash_table ~build_keys ~probe_keys
+        (List.of_seq (Heap_file.to_seq build_parts.(p)))
     in
     Seq.iter
       (fun pt ->
@@ -324,7 +380,7 @@ let grace_join ctx ~nparts ~build_parts ~probe_parts ~build_keys ~probe_keys
           (fun bt ->
             let out = emit pt bt in
             if keep out then results := out :: !results)
-          (probe_hits table probe_keys pt))
+          (table.find pt))
       (Heap_file.to_seq probe_parts.(p))
   done;
   Array.iter (fun h -> Exec_ctx.drop ctx h) build_parts;
@@ -583,13 +639,21 @@ and open_raw ctx plan : Biter.t =
 
 (* Block nested-loop join: buffer (work_mem - 1) pages of outer tuples, then
    rescan the inner once per block.  The inner must be rescannable; a
-   [Materialize] inner is spooled once and re-read per block. *)
+   [Materialize] inner is spooled once and re-read per block.  When the
+   condition has equality conjuncts across the two sides, each block is
+   indexed on them, so an inner row meets only the outer rows with its key,
+   still in block order. *)
 and bnl_join ctx left right cond =
   let cat = Exec_ctx.catalog ctx in
   let lbit = open_batch ctx left in
   let rschema = Physical.schema cat right in
   let out_schema = Schema.append lbit.Biter.schema rschema in
   let keep = compile_preds out_schema cond in
+  let index_keys =
+    match bnl_index_keys out_schema ~outer_arity:(Schema.arity lbit.Biter.schema) cond with
+    | [] -> None
+    | ks -> Some (Array.of_list (List.map fst ks), Array.of_list (List.map snd ks))
+  in
   let block_rows =
     let cap = Page.capacity ~row_bytes:(Schema.byte_width lbit.Biter.schema) in
     max 1 ((Exec_ctx.work_mem ctx - 1) * cap)
@@ -621,17 +685,31 @@ and bnl_join ctx left right cond =
   in
   let outer = Biter.cursor lbit in
   let block = ref [||] in
+  let index = ref None in
   let inner = ref None in
   let close_inner () =
     Option.iter (fun (bit, _) -> bit.Biter.close ()) !inner;
     inner := None
   in
   let join_row o rt =
-    Array.iter
-      (fun lt ->
-        let out = Tuple.concat lt rt in
-        if keep out then Biter.emit o out)
-      !block
+    let join lt =
+      let out = Tuple.concat lt rt in
+      if keep out then Biter.emit o out
+    in
+    match !index with
+    | None -> Array.iter join !block
+    | Some ix -> List.iter join (ix.find rt)
+  in
+  (* Added last to first, so every bucket lists its rows in block order. *)
+  let index_block () =
+    Option.iter
+      (fun (build_keys, probe_keys) ->
+        let ix = eq_index ~build_keys ~probe_keys (Array.length !block) in
+        for i = Array.length !block - 1 downto 0 do
+          ix.add !block.(i)
+        done;
+        index := Some ix)
+      index_keys
   in
   (* Output is inner-major: each inner row against the whole block. *)
   let step o =
@@ -648,6 +726,7 @@ and bnl_join ctx left right cond =
       block := Array.of_list (List.rev (fill [] 0));
       Array.length !block > 0
       && begin
+        index_block ();
         let bit = reopen_right () in
         let ic = Biter.cursor bit in
         inner := Some (bit, ic);
@@ -708,8 +787,7 @@ and hash_join ctx ~left ~right ~keys ~cond ~build_side : Biter.t =
   in
   if build_pages <= Exec_ctx.work_mem ctx then begin
     (* In-memory build; stream the probe side. *)
-    let table = build_hash_table build_keys build_rows in
-    let lookup = probe_hits table probe_keys in
+    let lookup = (build_hash_table ~build_keys ~probe_keys build_rows).find in
     let rec next_batch () =
       match probe_bit.Biter.next_batch () with
       | None -> None
@@ -933,7 +1011,7 @@ and compile_segment ctx plan : segment =
     in
     let keep = compile_preds out_schema j.cond in
     let tables =
-      if nparts = 1 then [| build_hash_table build_keys build_rows |]
+      if nparts = 1 then [| build_hash_table ~build_keys ~probe_keys build_rows |]
       else begin
         (* Partitioned parallel build: a key's rows all hash to one
            partition and keep their input order there, so each slice's
@@ -945,7 +1023,7 @@ and compile_segment ctx plan : segment =
             parts.(p) <- bt :: parts.(p))
           build_rows;
         let parts = Array.map List.rev parts in
-        let tabs = Array.map (fun _ -> TH.create 0) parts in
+        let tabs = Array.map (fun _ -> eq_index ~build_keys ~probe_keys 1024) parts in
         let (_ : unit array * Exchange.wstats array) =
           Exchange.fold ~ctx ~dop:nparts ~n_morsels:nparts
             ~worker:(fun ~wid:_ ~stats:_ _wctx ~claim ->
@@ -953,7 +1031,7 @@ and compile_segment ctx plan : segment =
                 match claim () with
                 | None -> ()
                 | Some p ->
-                  tabs.(p) <- build_hash_table build_keys parts.(p);
+                  List.iter tabs.(p).add parts.(p);
                   loop ()
               in
               loop ())
@@ -963,12 +1041,8 @@ and compile_segment ctx plan : segment =
       end
     in
     let lookup pt =
-      let k = Tuple.project_arr pt probe_keys in
-      let tbl =
-        if nparts = 1 then tables.(0)
-        else tables.((Tuple_key.hash k land max_int) mod nparts)
-      in
-      match TH.find_opt tbl k with None -> [] | Some bts -> bts
+      let p = if nparts = 1 then 0 else part_hash nparts probe_keys pt in
+      tables.(p).find pt
     in
     let fn b =
       match seg.seg_fn b with

@@ -121,6 +121,115 @@ let bnl_with_materialized_inner () =
   Alcotest.(check bool) "bnl+materialize" true
     (Relation.multiset_equal expected (exec ~work_mem:4 cat plan))
 
+(* Ordered BNL differential.  A BNL whose condition has an equality across
+   the two sides indexes each outer block on it; the same condition with
+   every [=] written as [NOT (<>)] has no indexable conjunct and runs the
+   plain nested loop over the same blocks.  Both must produce the same rows
+   in the same order with the same page reads and writes, or fail with the
+   same type error.  The golden digests ignore row order, so only this
+   catches an order change.
+
+   Rows are 48 bytes (85 a page): the outer's 5 pages make 3 blocks at
+   work_mem 3 and 2 at work_mem 4, each holding every key of [g] many times.
+   The inner's 5 pages overflow the 4-frame pool, so every rescan reads
+   pages again and a spooled inner is written out: the IO depends on the
+   page order. *)
+let bnl_catalog () =
+  let rng = Rng.create ~seed:11 in
+  let cat = Catalog.create ~frames:4 () in
+  let row i =
+    Tuple.make
+      [ Value.Int i; Value.Int (Rng.int rng 5); Value.Int (Rng.int rng 8);
+        Value.String (string_of_int (Rng.int rng 5));
+        Value.Float (float_of_int (Rng.int rng 5)) ]
+  in
+  let columns third =
+    [ ("k", Datatype.Int); ("g", Datatype.Int); (third, Datatype.Int);
+      ("name", Datatype.String); ("f", Datatype.Float) ]
+  in
+  ignore (Catalog.add_table cat ~name:"r" ~columns:(columns "v") ~pk:[ "k" ] (List.init 400 row));
+  ignore (Catalog.add_table cat ~name:"s" ~columns:(columns "w") ~pk:[ "k" ] (List.init 360 row));
+  cat
+
+let run_ordered ~work_mem cat plan =
+  let ctx = Exec_ctx.create ~work_mem cat in
+  let st = Exec_ctx.storage ctx in
+  Buffer_pool.clear (Storage.pool st);
+  let before = Storage.io_snapshot st in
+  let out =
+    match Executor.run ctx plan with
+    | rel -> Ok (Relation.tuples rel)
+    | exception Value.Type_error m -> Error m
+  in
+  let io = Storage.io_since st before in
+  (out, (io.Buffer_pool.reads, io.Buffer_pool.writes))
+
+let rec unindexable = function
+  | Expr.Cmp (Expr.Eq, a, b) -> Expr.Not (Expr.Cmp (Expr.Ne, a, b))
+  | Expr.And (p, q) -> Expr.And (unindexable p, unindexable q)
+  | p -> p
+
+let bnl_ordered_differential () =
+  let cat = bnl_catalog () in
+  let col q n ty = Expr.Col (Schema.column ~qual:q n ty) in
+  let ag = col "a" "g" Datatype.Int and av = col "a" "v" Datatype.Int in
+  let aname = col "a" "name" Datatype.String in
+  let bg = col "b" "g" Datatype.Int and bw = col "b" "w" Datatype.Int in
+  let bname = col "b" "name" Datatype.String and bf = col "b" "f" Datatype.Float in
+  let eq x y = Expr.Cmp (Expr.Eq, x, y) and lt x y = Expr.Cmp (Expr.Lt, x, y) in
+  let conds =
+    [
+      ("one-column key", [ eq ag bg ]);
+      ("inner column first", [ eq bg ag ]);
+      ("two-column key", [ eq ag bg; eq av bw ]);
+      ("residual non-equi", [ eq ag bg; lt av bw ]);
+      ("residual first", [ lt av bw; eq ag bg ]);
+      ("one-side equality", [ eq ag av ]);
+      ("one-side equality and a key", [ eq ag av; eq ag bg ]);
+      ("Int = Float", [ eq ag bf ]);
+      ("Int = String", [ eq ag bname ]);
+      ("key, then Int = String", [ eq ag bg; eq aname bw ]);
+      ("Int = String, then key", [ eq aname bw; eq ag bg ]);
+    ]
+  in
+  let inners =
+    [
+      ("scan", Physical.Seq_scan { alias = "b"; table = "s"; filter = [] });
+      ( "materialized",
+        Physical.Materialize
+          { input =
+              Physical.Filter
+                { input = Physical.Seq_scan { alias = "b"; table = "s"; filter = [] };
+                  pred = [ lt bw (Expr.int 6) ] } } );
+    ]
+  in
+  let outer = Physical.Seq_scan { alias = "a"; table = "r"; filter = [] } in
+  let outcome =
+    Alcotest.(pair (result (list (testable Tuple.pp Tuple.equal)) string) (pair int int))
+  in
+  let ok_rows = ref 0 and errors = ref 0 in
+  List.iter
+    (fun work_mem ->
+      List.iter
+        (fun (iname, inner) ->
+          List.iter
+            (fun (cname, cond) ->
+              let plan cond = Physical.Block_nl_join { left = outer; right = inner; cond } in
+              let indexed = run_ordered ~work_mem cat (plan cond) in
+              let plain = run_ordered ~work_mem cat (plan (List.map unindexable cond)) in
+              Alcotest.check outcome
+                (Printf.sprintf "%s, %s inner, work_mem %d" cname iname work_mem)
+                plain indexed;
+              match indexed with
+              | Ok rows, _ -> ok_rows := !ok_rows + List.length rows
+              | Error _, _ -> incr errors)
+            conds)
+        inners)
+    [ 3; 4 ];
+  (* The runs did real work: rows came out and the type errors were hit. *)
+  Alcotest.(check bool) "rows joined" true (!ok_rows > 10_000);
+  Alcotest.(check int) "type errors" 12 !errors
+
 let prop_sort =
   QCheck.Test.make ~name:"external sort: sorted permutation even when spilling"
     ~count:20
@@ -241,6 +350,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_join_methods;
     Alcotest.test_case "grace hash join spills and is correct" `Quick grace_hash_spill;
     Alcotest.test_case "BNL with materialized inner" `Quick bnl_with_materialized_inner;
+    Alcotest.test_case "indexed BNL keeps the plain loop's order and IO" `Quick
+      bnl_ordered_differential;
     QCheck_alcotest.to_alcotest prop_sort;
     QCheck_alcotest.to_alcotest prop_grouping;
     Alcotest.test_case "index scan range semantics" `Quick index_scan_ranges;
